@@ -311,11 +311,24 @@ def _dual_edges(faces, n_edges):
     return [(face_of[(e, 0)], face_of[(e, 1)]) for e in range(n_edges)]
 
 
-def gradient_problems(verdict: dict, poset: Poset, graphs) -> list[str]:
-    """Check a realizable verdict's witness from scratch."""
+def labelled_isomorphic(dual_edges, vertices_b, edges_b) -> bool:
+    """Brute force over face-to-vertex bijections that send the dual edge
+    of every saddle to that same saddle's edge: edge i on both sides."""
+    if len(dual_edges) != len(edges_b):
+        return False
+    target = [sorted(e) for e in edges_b]
+    for perm in itertools.permutations(vertices_b):
+        if all(sorted((perm[u], perm[v])) == t for (u, v), t in zip(dual_edges, target)):
+            return True
+    return False
+
+
+def gradient_problems(verdict: dict, poset: Poset, graphs) -> tuple[list[str], bool]:
+    """Check a realizable verdict's witness from scratch.  The dual is
+    compared with the lowest-level graph as an unlabelled multigraph, as the
+    program compares them; the second value tells whether the dual edge of
+    every saddle is also that saddle's own edge."""
     (maxes, top), (mins, bottom) = graphs
-    if not verdict["realizable"]:
-        return []
     problems = []
     rotation = {v: [tuple(d) for d in ds] for v, ds in verdict["rotation_system"].items()}
     expected = {v: sorted((e, end) for e, (_, ends) in enumerate(top)
@@ -323,7 +336,7 @@ def gradient_problems(verdict: dict, poset: Poset, graphs) -> list[str]:
     if {v: sorted(ds) for v, ds in rotation.items() if ds} != {
             v: ds for v, ds in expected.items() if ds}:
         problems.append("rotation system does not list each dart at its vertex")
-        return problems
+        return problems, False
     faces = trace_faces({v: ds for v, ds in rotation.items() if ds})
     f_count = len(faces) if top else 1
     genus = verdict["genus"]
@@ -332,18 +345,23 @@ def gradient_problems(verdict: dict, poset: Poset, graphs) -> list[str]:
     stored = [sorted(tuple(d) for d in f) for f in verdict["faces"] if f]
     if sorted(map(sorted, faces)) != sorted(stored):
         problems.append("stored faces differ from the retraced ones")
-    if not isomorphic(f_count, _dual_edges(faces, len(top)), mins,
-                      [ends for _, ends in bottom]):
+    dual = _dual_edges(faces, len(top))
+    lowest = [ends for _, ends in bottom]
+    if not isomorphic(f_count, dual, mins, lowest):
         problems.append("dual of the witness is not the lowest-level graph")
     forced = 2 - len(maxes) + len(top) - len(mins)
     if forced % 2 or genus != forced // 2:
         problems.append(f"genus {genus} differs from the forced (2 - R + S - A) / 2")
-    return problems
+    labelled = f_count == len(mins) and (not top or labelled_isomorphic(dual, mins, lowest))
+    return problems, labelled
 
 
 def has_dual_embedding(graphs) -> bool:
     """Independent exhaustive search: does any rotation system of the
-    highest-level graph have the lowest-level graph as its dual?"""
+    highest-level graph have the lowest-level graph as its dual, with the
+    dual edge of every saddle on that saddle's own edge?  A labelled witness
+    is an unlabelled one too, so a NotRealizable verdict passes this search
+    whether the decision keeps the saddles' labels or not."""
     (maxes, top), (mins, bottom) = graphs
     at = {v: [] for v in maxes}
     for e, (_, (u, v)) in enumerate(top):
@@ -359,7 +377,7 @@ def has_dual_embedding(graphs) -> bool:
         return len(mins) == 1
     for combo in itertools.product(*choices):
         faces = trace_faces({v: ds for v, ds in zip(maxes, combo) if ds})
-        if len(faces) == len(mins) and isomorphic(
-                len(faces), _dual_edges(faces, len(top)), mins, lowest):
+        if len(faces) == len(mins) and labelled_isomorphic(
+                _dual_edges(faces, len(top)), mins, lowest):
             return True
     return False

@@ -4,10 +4,13 @@
     python3 perfbench/run.py --workload census --seed 1 --seconds 20 --trace 0
 
 Run from the root of a checkout; the program is imported from ``src/``.
-Set-up (importing ``smale_orders`` afresh and preparing the workload's
-inputs) is repeated SETUPS times and its median is ``setup_s``.  Then whole
-rounds of the workload run until ``--seconds`` of wall time have passed and
-at least the workload's minimum number of rounds is done.
+The workload's inputs and the data of its checks are made from ``--seed``
+once, untimed: the program takes no part in making them.  Set-up, a fresh
+import of ``smale_orders``, is timed SETUPS times before the first round and
+once more before every round, which then runs on that import; ``setup_s``
+is the median of them all.  Whole rounds of the workload run until
+``--seconds`` of wall time have passed and at least the workload's minimum
+number of rounds is done.
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``: the end-to-end metrics with
@@ -22,6 +25,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import collections
 import importlib
 import json
 import math
@@ -71,6 +75,14 @@ def import_fresh(layers):
     return SimpleNamespace(**mods)
 
 
+def set_up(setups: list):
+    """One set-up: a fresh import of the program, its time added to setups."""
+    t0 = time.perf_counter()
+    mods = import_fresh(tracing.LAYERS + ("errors",))
+    setups.append(time.perf_counter() - t0)
+    return mods
+
+
 def calibration_s() -> float:
     """A fixed stdlib loop: a reference figure for the host's speed."""
     t0 = time.perf_counter()
@@ -80,14 +92,17 @@ def calibration_s() -> float:
     return time.perf_counter() - t0
 
 
-def run_rounds(workload, mods, state, seconds: float, tracer=None):
+def run_rounds(workload, state, seconds: float, setups: list, tracer=None):
     """Whole rounds until ``seconds`` have passed and the workload's minimum
-    is met.  With a tracer, odd rounds are traced and recorded apart."""
+    is met.  Each round runs on a fresh set-up, so that set-up is timed in
+    the host's phases across the whole run.  With a tracer, odd rounds are
+    traced and recorded apart."""
     plain, traced = Recorder(), Recorder()
     min_rounds = workload.min_rounds if tracer is None else max(2, workload.min_rounds)
     start = time.perf_counter()
     r = 0
     while r < min_rounds or time.perf_counter() - start < seconds:
+        mods = set_up(setups)
         rec = plain
         if tracer is not None and r % 2:
             rec = traced
@@ -138,18 +153,16 @@ def main(argv=None) -> int:
     workdir = OUT / f"{args.workload}-{args.seed}-{os.getpid()}"
     workdir.mkdir(parents=True, exist_ok=True)
     try:
+        state = workload.prepare(args.seed, workdir)
         setups = []
         for _ in range(SETUPS):
-            t0 = time.perf_counter()
-            mods = import_fresh(tracing.LAYERS + ("errors",))
-            state = workload.prepare(mods, args.seed, workdir)
-            setups.append(time.perf_counter() - t0)
-        setup_s = statistics.median(setups)
+            set_up(setups)
         calib = [calibration_s()]
 
         tracer = tracing.Tracer() if args.trace else None
-        rec, traced = run_rounds(workload, mods, state, args.seconds, tracer)
+        rec, traced = run_rounds(workload, state, args.seconds, setups, tracer)
         calib.append(calibration_s())
+        setup_s = statistics.median(setups)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -158,6 +171,10 @@ def main(argv=None) -> int:
     problems = [p for ph in phases for p in ph.problems]
     for text in problems[:5] + [e for ph in phases for e in ph.examples]:
         sys.stderr.write(f"perfbench: problem: {text}\n")
+    notes = sum((ph.notes for ph in phases), collections.Counter())
+    rounds = sum(ph.rounds for ph in phases)
+    for text, count in sorted(notes.items()):
+        sys.stderr.write(f"perfbench: note: {text}: {count / rounds:g} per round\n")
     e2e = end_to_end(rec, setup_s, workload.tail_pct)
     sys.stderr.write(
         f"perfbench: {workload.name} seed {args.seed}: {rec.rounds} rounds,"
