@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .bands import BandGluing, BoundaryCycle
 from .cycles import CycleAssignment
 from .domains import DomainSpec, RepairLog
-from .order import FiniteOrder, Role, RoleMap, classify
+from .order import FiniteOrder, Role, RoleMap, _linked_components, classify
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -103,30 +103,14 @@ def _incidence_components(order, roles, assignment, north_south):
     extremal whose cycle mentions it, and a north-south pair ties its two
     points directly.
     """
-    adj: dict = {e: set() for e in order.elements}
-    for owner in assignment.owners():
-        for t in assignment.cycle(owner):
-            for s in (t.left, t.right):
-                adj[owner].add(s)
-                adj[s].add(owner)
-    for a, b in north_south:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen: set = set()
-    comps = []
-    for e in order.elements:
-        if e in seen:
-            continue
-        comp, stack = {e}, [e]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(sorted(comps))
+    links = [
+        (owner, s)
+        for owner in assignment.owners()
+        for t in assignment.cycle(owner)
+        for s in (t.left, t.right)
+    ]
+    comps = _linked_components(order.elements, links + list(north_south))
+    return tuple(sorted(tuple(sorted(c)) for c in comps))
 
 
 def _chi_of(domains, repairs, vertex_count, edge_count, handle_count):

@@ -43,9 +43,6 @@ class Band:
     def is_beginning_for(self, saddle: str) -> bool:
         return self.transition.right == saddle
 
-    def is_end_for(self, saddle: str) -> bool:
-        return self.transition.left == saddle
-
 
 @dataclass(frozen=True)
 class BandGluing:

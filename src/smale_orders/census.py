@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from .errors import IsolatedElement
 from .order import FiniteOrder, from_down_sets
 
 NATURALLY_LABELED_COUNTS = {1: 1, 2: 2, 3: 7, 4: 40, 5: 357, 6: 4824, 7: 96428}
@@ -46,38 +47,16 @@ def iter_down_set_tuples(n: int) -> Iterator[tuple[int, ...]]:
     yield from extend(0)
 
 
-def iter_orders(n: int, skip_isolated: bool = True) -> Iterator[FiniteOrder]:
+def iter_orders(n: int) -> Iterator[FiniteOrder]:
     """Yield FiniteOrder objects for every naturally labeled poset on ``n``.
 
-    Orders containing an element unrelated to everything are skipped by
-    default since the loader rejects them.
+    Orders containing an element unrelated to everything are skipped, since
+    the loader rejects them.
     """
     names = tuple(f"e{i}" for i in range(n))
     for downs in iter_down_set_tuples(n):
-        if skip_isolated:
-            up = 0
-            for m in downs:
-                up |= m
-            if any(downs[i] == 0 and not up >> i & 1 for i in range(n)):
-                continue
-        yield from_down_sets(names, downs)
-
-
-def count_transitive_relations_bruteforce(n: int) -> int:
-    """Independent count of upper-triangular transitive relations.
-
-    Brute force over all subsets of the strictly upper-triangular pairs;
-    only usable for n <= 5.  Serves as an oracle for the generator.
-    """
-    pairs = [(i, j) for i in range(n) for j in range(i)]
-    total = 0
-    for mask in range(1 << len(pairs)):
-        rel = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
-        if all(
-            (a, c) in rel
-            for a, b in rel
-            for b2, c in rel
-            if b == b2
-        ):
-            total += 1
-    return total
+        try:
+            order = from_down_sets(names, downs)
+        except IsolatedElement:
+            continue
+        yield order

@@ -12,6 +12,10 @@ class OrderSpecError(SmaleOrderError):
     """Invalid order description."""
 
 
+class MalformedOrder(OrderSpecError):
+    """Wrong JSON shape; the message names the JSON path, e.g. relations[3]."""
+
+
 class DuplicateElement(OrderSpecError):
     pass
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, NotGradientShape
-from .order import FiniteOrder, Role, check_connectivity, classify
+from .order import FiniteOrder, Role, _linked_components, check_connectivity, classify
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,9 @@ def check_necessary(order: FiniteOrder) -> ViolationReport:
             f"the comparability graph {'below' if is_max else 'above'} {e} splits"
             f" into {len(comps)} components"
         )
-        if is_max:
-            deep = sorted(
-                x
-                for x in side
-                if x not in mins and any(order.greater(y, x) for y in side)
-            )
-        else:
-            deep = sorted(
-                x
-                for x in side
-                if x not in maxes and any(order.greater(x, y) for y in side)
-            )
+        opposite = mins if is_max else maxes
+        beyond = order.up_set if is_max else order.down_set
+        deep = sorted(x for x in side if x not in opposite and beyond(x) & side)
         if deep:
             which = "attracting" if is_max else "repelling"
             detail += (
@@ -107,7 +98,6 @@ def check_necessary(order: FiniteOrder) -> ViolationReport:
                     f" point with two separatrices per side, but it touches"
                     f" {len(max_anc)} maximal and {len(min_desc)} minimal elements",
                 )
-        opposite = mins if is_max else maxes
         for b in sorted(side & opposite):
             if b in failures:
                 add(
@@ -212,24 +202,6 @@ def _darts_at(graph: LevelGraph) -> dict:
     return {v: tuple(sorted(ds)) for v, ds in at.items()}
 
 
-def _graph_connected(graph: LevelGraph) -> bool:
-    if len(graph.vertices) <= 1:
-        return True
-    adj = {v: set() for v in graph.vertices}
-    for _, (u, v) in graph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {graph.vertices[0]}
-    stack = [graph.vertices[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(graph.vertices)
-
-
 def _trace_faces(rotation: dict):
     """Orbits of the face permutation: from a dart, flip to the other end of
     its edge, then take the next dart counterclockwise there."""
@@ -265,7 +237,7 @@ def enumerate_embeddings(graph: LevelGraph, max_genus: int | None = None):
     Deterministic lexicographic order.  A vertex without edges contributes
     one face (point on a sphere).
     """
-    if not _graph_connected(graph):
+    if len(_linked_components(graph.vertices, graph.endpoint_pairs())) > 1:
         raise DisconnectedGraph(f"level graph on {graph.vertices} is disconnected")
     if max_genus is None:
         max_genus = len(graph.edges)

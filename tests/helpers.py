@@ -11,7 +11,8 @@ import itertools
 from functools import lru_cache
 
 from smale_orders.census import iter_orders
-from smale_orders.order import FiniteOrder, check_connectivity
+from smale_orders.errors import CycleInRelation, IsolatedElement
+from smale_orders.order import FiniteOrder, Role, check_connectivity
 
 
 @lru_cache(maxsize=None)
@@ -59,6 +60,90 @@ def oracle_connectivity(downs: tuple[int, ...]) -> dict:
                         parent[ra] = rb
         verdicts[e] = len({find(m) for m in members}) <= 1
     return verdicts
+
+
+def count_transitive_relations_bruteforce(n: int) -> int:
+    """Independent count of upper-triangular transitive relations.
+
+    Brute force over all subsets of the strictly upper-triangular pairs;
+    only usable for n <= 5.  Serves as an oracle for the generator.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i)]
+    total = 0
+    for mask in range(1 << len(pairs)):
+        rel = {pairs[k] for k in range(len(pairs)) if mask >> k & 1}
+        if all(
+            (a, c) in rel
+            for a, b in rel
+            for b2, c in rel
+            if b == b2
+        ):
+            total += 1
+    return total
+
+
+def oracle_order(spec: dict) -> dict:
+    """What ``load_order`` and its consumers should report, from plain sets.
+
+    The closure joins pairs until nothing changes, a cover is a pair with no
+    element between, components come from a fresh search, and generations
+    from their recursive definition.  An invalid generating set raises the
+    error ``load_order`` raises, with the same message.
+    """
+    elements = sorted(spec["elements"])
+    rel = {tuple(p) for p in spec["relations"]}
+    while True:
+        new = {(a, d) for a, b in rel for c, d in rel if b == c} - rel
+        if not new:
+            break
+        rel |= new
+    for e in elements:
+        if (e, e) in rel:
+            raise CycleInRelation(f"relation pairs induce a directed cycle through {e!r}")
+    for e in elements:
+        if not any(e in pair for pair in rel):
+            raise IsolatedElement(f"element {e!r} is unrelated to every other element")
+    covers = {
+        (a, b) for a, b in rel if not any((a, z) in rel and (z, b) in rel for z in elements)
+    }
+    below = {e: {b for a, b in rel if a == e} for e in elements}
+    above = {e: {a for a, b in rel if b == e} for e in elements}
+    roles = {
+        e: Role.REPELLER if not above[e] else Role.ATTRACTOR if not below[e] else Role.SADDLE
+        for e in elements
+    }
+
+    def generation(s):
+        over = [t for t in above[s] if roles[t] is Role.SADDLE]
+        return 1 + max((generation(t) for t in over), default=0)
+
+    def components(nodes):
+        comps, left = [], set(nodes)
+        while left:
+            comp, todo = set(), [min(left)]
+            while todo:
+                x = todo.pop()
+                if x not in comp:
+                    comp.add(x)
+                    todo += [y for y in left if (x, y) in rel or (y, x) in rel]
+            left -= comp
+            comps.append(tuple(sorted(comp)))
+        return tuple(sorted(comps))
+
+    connectivity = {}
+    for e in elements:
+        side = below[e] if not above[e] else above[e] if not below[e] else None
+        if side is not None:
+            comps = components(side)
+            connectivity[e] = (len(comps) <= 1, comps)
+    return {
+        "elements": tuple(elements),
+        "relations": rel,
+        "covers": covers,
+        "roles": roles,
+        "generations": {s: generation(s) for s in elements if roles[s] is Role.SADDLE},
+        "connectivity": connectivity,
+    }
 
 
 def oracle_admissible(order: FiniteOrder, owner: str) -> set:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smale_orders
 from smale_orders.cli import main, seed_corpus
 
 
@@ -212,3 +217,29 @@ def test_unknown_matching_strategy_is_an_input_error(corpus_dir, capsys):
 
 def test_missing_command_is_usage_error(capsys):
     assert main([]) == 1
+
+
+@pytest.mark.parametrize(
+    "spec, path",
+    [
+        (["a", "b"], "top level"),
+        ({"elements": ["a", "b"], "relations": [["a", "b"], ["a"]]}, "relations[1]"),
+        ({"elements": ["a", "b", "c"], "relations": [["a", "b", "c"]]}, "relations[0]"),
+        ({"elements": ["a", "b"], "relations": "ab"}, "relations"),
+        ({"elements": ["a", 1], "relations": [["a", 1]]}, "elements[1]"),
+        ({"elements": ["a", ["b"]], "relations": []}, "elements[1]"),
+        ({"elements": "ab", "relations": [["a", "b"]]}, "elements"),
+    ],
+)
+def test_malformed_order_files_are_input_errors(tmp_path, spec, path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    src = str(Path(smale_orders.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "smale_orders.cli", "validate", str(bad)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: expected ")

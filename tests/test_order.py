@@ -1,15 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from smale_orders.census import (
-    NATURALLY_LABELED_COUNTS,
-    count_transitive_relations_bruteforce,
-    iter_down_set_tuples,
-)
+from smale_orders.census import NATURALLY_LABELED_COUNTS, iter_down_set_tuples
 from smale_orders.errors import (
     CycleInRelation,
     DuplicateElement,
     IsolatedElement,
+    OrderSpecError,
     UnknownElementInRelation,
 )
 from smale_orders.order import (
@@ -20,7 +17,12 @@ from smale_orders.order import (
     load_order,
 )
 
-from helpers import oracle_connectivity, usable_orders
+from helpers import (
+    count_transitive_relations_bruteforce,
+    oracle_connectivity,
+    oracle_order,
+    usable_orders,
+)
 
 CHAIN3 = {"elements": ["A", "s", "w"], "relations": [["A", "s"], ["s", "w"]]}
 
@@ -193,3 +195,49 @@ def test_connectivity_agrees_with_union_find_oracle(max_n):
             assert got == oracle_connectivity(downs)
             checked += 1
     assert checked > 0
+
+
+@st.composite
+def generating_sets(draw):
+    """Up to nine elements whose sorted order is unrelated to the order
+    itself; pairs point downwards unless the draw allows cycles."""
+    n = draw(st.integers(1, 9))
+    names = draw(st.permutations([f"x{i}" for i in range(n)]))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=n, max_size=3 * n))
+    if not draw(st.booleans()):  # acyclic: higher index above
+        pairs = [(max(p), min(p)) for p in pairs if p[0] != p[1]]
+    return {
+        "elements": draw(st.permutations(names)),
+        "relations": [[names[a], names[b]] for a, b in pairs],
+    }
+
+
+@settings(max_examples=400)
+@given(generating_sets())
+def test_load_order_agrees_with_set_oracle(spec):
+    try:
+        expected = oracle_order(spec)
+    except OrderSpecError as exc:
+        with pytest.raises(OrderSpecError) as got:
+            load_order(spec)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    order = load_order(spec)
+    assert order.elements == expected["elements"]
+    assert order.relations == expected["relations"]
+    assert order.covers == expected["covers"]
+    assert check_connectivity(order).entries == expected["connectivity"]
+    roles = classify(order)
+    assert roles.roles == expected["roles"]
+    assert roles.generations == expected["generations"]
+
+
+def test_long_chain_loads():
+    names = [f"c{i:03d}" for i in range(500)]
+    order = load_order(
+        {"elements": names, "relations": [list(p) for p in zip(names, names[1:])]}
+    )
+    assert len(order.relations) == 124_750
+    assert len(order.covers) == 499
+    assert check_connectivity(order).passed
