@@ -20,7 +20,7 @@ components to the assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bands import BandGluing, BoundaryCycle
 from .cycles import CycleAssignment
@@ -149,12 +149,8 @@ def assemble(
         comp_domains = {s: domains[s] for s in domains if s in comp_set}
         comp_repairs = {s: repairs[s] for s in repairs if s in comp_set}
         c = _chi_of(comp_domains, comp_repairs, v, e_cnt, 0)
-        if c % 2:
-            raise AssertionError(f"component {comp} has odd Euler characteristic {c}")
         summaries.append(ComponentSummary(elements=comp, chi=c, genus=(2 - c) // 2))
     connected = len(comps) <= 1
-    if chi % 2:
-        raise AssertionError(f"odd Euler characteristic {chi}")
 
     notes = []
     for a, b in north_south:
@@ -246,26 +242,14 @@ def add_saddle_handles(
         for s in certificate.components
     )
 
-    return RealizationCertificate(
-        order=certificate.order,
-        roles=certificate.roles,
-        assignment=certificate.assignment,
-        gluing=certificate.gluing,
-        boundary=certificate.boundary,
-        domains=certificate.domains,
-        repairs=certificate.repairs,
-        north_south=certificate.north_south,
+    return replace(
+        certificate,
         handle_pairs=pairs,
-        vertex_count=certificate.vertex_count,
-        edge_count=certificate.edge_count,
         handle_count=h,
-        repair_extra_pairs=certificate.repair_extra_pairs,
         chi=chi,
-        connected=certificate.connected,
         genus=(2 - chi) // 2 if certificate.connected else None,
         components=components,
         notes=tuple(notes),
-        matching_strategy=certificate.matching_strategy,
     )
 
 

@@ -3,8 +3,10 @@
 Every transition slot in an extremal element's cycle is a band: one half of
 a translation band running from a repeller down to an attractor.  Gluing
 matches each attractor-side band with a repeller-side band of the same type
-(same ordered saddle pair, mediators crossed); the balance condition checked
-by ``verify_star`` guarantees a perfect matching exists.
+(same ordered saddle pair, mediators crossed).  For cycles satisfying
+conditions 1 and 2 such a perfect matching exists exactly when the star
+balance holds, so the matching itself detects an unbalanced assignment: a
+band left without a partner raises ``StarViolated``.
 
 The boundary of a saddle's domain is then read off by walking: glue-step to
 the partner band, advance-step to the adjacent band at that extremal point,
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import ExhaustionFailure, StarViolated
 from .order import FiniteOrder, classify
-from .cycles import CycleAssignment, Transition, verify_star
+from .cycles import CycleAssignment, Transition
 
 BandKey = tuple[str, int]
 
@@ -110,13 +112,9 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
     Saddles are processed in canonical order; bands mentioning the current
     saddle are matched on demand while its boundary is walked, taking the
     first not-yet-matched compatible band in index order.  Returns the
-    complete gluing and a map from saddle to its boundary cycles.
+    complete gluing and a map from saddle to its boundary cycles; raises
+    ``StarViolated`` when some band finds no partner.
     """
-    ledger, ok = verify_star(assignment, order)
-    if not ok:
-        raise StarViolated(
-            f"unbalanced transition counts: {ledger.unbalanced_groups()}"
-        )
     roles = classify(order)
     bands = bands_of(assignment)
     is_attractor = {
@@ -145,7 +143,7 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
                 partner[key] = cand
                 partner[cand] = key
                 return cand
-        raise ExhaustionFailure(
+        raise StarViolated(
             f"no compatible partner left for band {key} of type {band.transition.key}"
         )
 
@@ -208,7 +206,7 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
 
     unmatched = sorted(k for k in bands if k not in partner)
     if unmatched:
-        raise ExhaustionFailure(f"bands left unmatched: {unmatched}")
+        raise StarViolated(f"bands left unmatched: {unmatched}")
 
     pairs = tuple(
         sorted((a, partner[a]) for a in bands if is_attractor[a[0]])

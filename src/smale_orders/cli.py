@@ -10,6 +10,7 @@ identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -236,6 +237,7 @@ def seed_corpus(directory: str) -> list[str]:
     return written
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smale-orders",

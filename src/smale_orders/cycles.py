@@ -386,7 +386,8 @@ def balance_cycles(assignment: CycleAssignment, order: FiniteOrder) -> CycleAssi
     ``k -> l -> k`` (through its own mediator) right after an occurrence of
     k; for k = l a single self-transition is spliced in.  Each splice
     preserves chaining and conditions 1 and 2 and reduces the total deficit
-    by one, so the loop inserts exactly the initial deficit.
+    by one, so the loop inserts exactly the initial deficit.  The result is
+    not re-checked here; ``realize`` checks it with the other invariants.
     """
     validate_assignment(assignment, order)
     cycles = {owner: list(assignment.cycle(owner)) for owner in assignment.owners()}
@@ -411,13 +412,4 @@ def balance_cycles(assignment: CycleAssignment, order: FiniteOrder) -> CycleAssi
                     Transition(l, mediator, k, target),
                 ]
             word[pos + 1 : pos + 1] = insert
-    balanced = CycleAssignment(
-        cycles={owner: tuple(word) for owner, word in cycles.items()}
-    )
-    problems = assignment_problems(balanced, order)
-    if problems:  # splices must preserve every cycle invariant
-        raise PreconditionViolated("balancing broke invariants: " + "; ".join(problems))
-    _, ok = verify_star(balanced, order)
-    if not ok:
-        raise PreconditionViolated("balancing failed to reach equal counts")
-    return balanced
+    return CycleAssignment(cycles={owner: tuple(word) for owner, word in cycles.items()})

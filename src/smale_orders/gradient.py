@@ -291,36 +291,6 @@ def dual_graph(embedding: Embedding, graph: LevelGraph) -> LevelGraph:
     return LevelGraph(vertices=names, edges=tuple(sorted(edges)))
 
 
-def dual_map(embedding: Embedding, graph: LevelGraph) -> Embedding:
-    """The dual combinatorial map: faces become vertices, rotation given by
-    the face traversal, and the dual's faces are traced the same way."""
-    rotation = {f"f{i}": face for i, face in enumerate(embedding.faces) if face}
-    if not rotation:
-        rotation = {"f0": ()}
-    faces = _trace_faces({k: v for k, v in rotation.items() if v})
-    v_count = len(embedding.faces)
-    e_count = len(graph.edges)
-    f_count = len(faces) if e_count else 1
-    genus = (2 - (v_count - e_count + f_count)) // 2
-    return Embedding(rotation=RotationSystem(rotation=rotation), faces=faces or ((),), genus=genus)
-
-
-def graph_of_map(embedding: Embedding, graph: LevelGraph) -> LevelGraph:
-    """Underlying multigraph of a combinatorial map (edge labels kept)."""
-    vertex_of: dict = {}
-    for v, darts in embedding.rotation.rotation.items():
-        for d in darts:
-            vertex_of[d] = v
-    edges = []
-    for idx, (label, _) in enumerate(graph.edges):
-        u = vertex_of[(idx, 0)]
-        v = vertex_of[(idx, 1)]
-        a, b = sorted((u, v))
-        edges.append((label, (a, b)))
-    vertices = tuple(sorted(embedding.rotation.rotation))
-    return LevelGraph(vertices=vertices, edges=tuple(sorted(edges)))
-
-
 # --------------------------------------------------------------------------
 # multigraph isomorphism (small instances, backtracking)
 # --------------------------------------------------------------------------

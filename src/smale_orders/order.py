@@ -318,12 +318,15 @@ def from_down_sets(names: tuple[str, ...], downs: tuple[int, ...]) -> FiniteOrde
     The census hands in its enumerated down-sets and ``load_order`` the ones
     it closed.  One pass over each down-set finds the up-sets and everything
     below some smaller element; what is below no smaller element is a cover.
-    The same pass asserts that the masks are transitively closed.
+    The same pass asserts that the masks are irreflexive and transitively
+    closed.
     """
     n = len(names)
     up, cover_down, cover_up = [0] * n, [0] * n, [0] * n
     for i, m in enumerate(downs):
         bit, below = 1 << i, 0
+        if m & bit:
+            raise CycleInRelation(f"element {names[i]!r} lies below itself")
         for j in compress(range(n), _flags(m)):
             below |= downs[j]
             up[j] |= bit

@@ -5,6 +5,15 @@ profile repair -> domain selection -> assembly -> handles and returns a
 certificate.  ``verify_certificate`` recomputes every stage from the data
 stored in a certificate and reports any mismatch, so certificates can be
 re-checked after serialization by an independent process.
+
+The stages validate their inputs and build; none re-checks its own output.
+The invariants every correct construction satisfies (cycle conditions, star
+balance, boundary-cycle axioms, 2E = band count, even chi at most 2) are
+checked in one place, ``_invariant_problems``: ``realize`` runs it once on
+the certificate it built and raises ``AssertionError`` on any problem, and
+``verify_certificate`` appends it to its stored-versus-recomputed
+comparisons.  ``_domain`` turns one saddle's boundary cycles into its domain
+spec and repair log for both, and asserts that the repair worked.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 from .assemble import (
     DEFAULT_MATCHING_STRATEGY,
     RealizationCertificate,
+    _chi_of,
     add_saddle_handles,
     assemble,
     saddle_handle_pairs,
@@ -25,6 +35,7 @@ from .cycles import (
     verify_star,
 )
 from .domains import (
+    DomainSpec,
     LengthProfile,
     RepairLog,
     Verdict,
@@ -55,15 +66,12 @@ def realize(
             report=report,
         )
 
-    ns_elements = {e for pair in order.north_south_pairs for e in pair}
     for a, b in order.north_south_pairs:
         # under the connectivity condition these pairs are always isolated
         # two-element components
         if order.up_set(b) != {a} or order.down_set(a) != {b}:
             raise AssertionError(f"north-south pair {a}>{b} is not isolated")
-    core = (
-        order.restrict(set(order.elements) - ns_elements) if ns_elements else order
-    )
+    core = _core(order)
 
     if core.elements:
         if assignment is None:
@@ -77,9 +85,6 @@ def realize(
                 )
         balanced = balance_cycles(assignment, core)
         gluing, boundary = glue_bands(balanced, core)
-        problems = verify_boundary_cycles(gluing, boundary, balanced, core)
-        if problems:
-            raise AssertionError("gluing invariants broken: " + "; ".join(problems))
     else:
         balanced = CycleAssignment(cycles={})
         gluing = BandGluing(pairs=())
@@ -87,17 +92,7 @@ def realize(
 
     domains, repairs = {}, {}
     for saddle in sorted(boundary):
-        profile = LengthProfile(boundary_profile(boundary[saddle]))
-        verdict, spec = check_constructible(profile)
-        if verdict is Verdict.CONSTRUCTIBLE:
-            repairs[saddle] = RepairLog(steps=())
-        else:
-            repaired, log = repair_profile(profile)
-            verdict, spec = check_constructible(repaired)
-            if verdict is not Verdict.CONSTRUCTIBLE:
-                raise AssertionError(f"repair left {repaired.lengths} unbuildable")
-            repairs[saddle] = log
-        domains[saddle] = spec
+        domains[saddle], repairs[saddle] = _domain(boundary[saddle])
 
     certificate = assemble(
         order,
@@ -108,7 +103,65 @@ def realize(
         repairs,
         matching_strategy=matching_strategy,
     )
-    return add_saddle_handles(certificate, order)
+    certificate = add_saddle_handles(certificate, order)
+    problems = _invariant_problems(certificate, core)
+    if problems:
+        raise AssertionError("construction invariants broken: " + "; ".join(problems))
+    return certificate
+
+
+def _core(order: FiniteOrder) -> FiniteOrder:
+    """The order without its north-south pairs; the cycles live on it."""
+    ns_elements = {e for pair in order.north_south_pairs for e in pair}
+    return order.restrict(set(order.elements) - ns_elements) if ns_elements else order
+
+
+def _domain(cycles) -> tuple[DomainSpec, RepairLog]:
+    """Domain spec and repair log for one saddle's boundary cycles."""
+    profile = LengthProfile(boundary_profile(cycles))
+    verdict, spec = check_constructible(profile)
+    if verdict is Verdict.CONSTRUCTIBLE:
+        return spec, RepairLog(steps=())
+    repaired, log = repair_profile(profile)
+    verdict, spec = check_constructible(repaired)
+    if verdict is not Verdict.CONSTRUCTIBLE:
+        raise AssertionError(f"repair left {repaired.lengths} unbuildable")
+    return spec, log
+
+
+def _chi(cert: RealizationCertificate) -> int:
+    """Euler characteristic recomputed from the certificate's parts."""
+    return _chi_of(
+        cert.domains, cert.repairs, cert.vertex_count, cert.edge_count, cert.handle_count
+    )
+
+
+def _invariant_problems(cert: RealizationCertificate, core: FiniteOrder) -> list[str]:
+    """Every invariant a correct construction satisfies, each checked once."""
+    problems = []
+    if cert.assignment.owners():
+        problems += assignment_problems(cert.assignment, core)
+        ledger, ok = verify_star(cert.assignment, core)
+        if not ok:
+            problems.append(
+                f"transition counts unbalanced: {ledger.unbalanced_groups()}"
+            )
+        problems += verify_boundary_cycles(
+            cert.gluing, cert.boundary, cert.assignment, core
+        )
+    if 2 * cert.edge_count != cert.assignment.total_bands():
+        problems.append("edge identity 2E = total band count fails")
+    chi = _chi(cert)
+    if chi % 2:
+        problems.append(f"odd Euler characteristic {chi}")
+    if cert.connected and chi > 2:
+        problems.append(f"Euler characteristic {chi} exceeds 2")
+    for comp in cert.components:
+        if comp.chi % 2:
+            problems.append(f"component {comp.elements} has odd chi")
+        if comp.chi > 2:
+            problems.append(f"component {comp.elements} chi {comp.chi} exceeds 2")
+    return problems
 
 
 # --------------------------------------------------------------------------
@@ -140,41 +193,16 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
     if cert.north_south != order.north_south_pairs:
         problems.append("stored north-south pairs differ")
 
-    ns_elements = {e for pair in order.north_south_pairs for e in pair}
-    core = (
-        order.restrict(set(order.elements) - ns_elements) if ns_elements else order
-    )
-
-    if cert.assignment.owners():
-        problems += assignment_problems(cert.assignment, core)
-        ledger, ok = verify_star(cert.assignment, core)
-        if not ok:
-            problems.append(
-                f"transition counts unbalanced: {ledger.unbalanced_groups()}"
-            )
-        problems += verify_boundary_cycles(
-            cert.gluing, cert.boundary, cert.assignment, core
-        )
-
     if cert.edge_count != len(cert.gluing.pairs):
         problems.append("edge count differs from the matching size")
-    if 2 * cert.edge_count != cert.assignment.total_bands():
-        problems.append("edge identity 2E = total band count fails")
     if cert.vertex_count != len(roles.extremals()):
         problems.append("vertex count differs from the number of extremals")
 
     for saddle in sorted(cert.boundary):
-        raw = LengthProfile(boundary_profile(cert.boundary[saddle]))
-        verdict, spec = check_constructible(raw)
-        if verdict is Verdict.CONSTRUCTIBLE:
-            expected_spec, expected_log = spec, RepairLog(steps=())
-        else:
-            repaired, expected_log = repair_profile(raw)
-            _, expected_spec = check_constructible(repaired)
-        if cert.domains.get(saddle) != expected_spec:
+        spec, log = _domain(cert.boundary[saddle])
+        if cert.domains.get(saddle) != spec:
             problems.append(f"domain spec for {saddle} differs from recomputation")
-        stored_log = cert.repairs.get(saddle, RepairLog(steps=()))
-        if stored_log != (expected_log if expected_log.steps else RepairLog(steps=())):
+        if cert.repairs.get(saddle, RepairLog(steps=())) != log:
             problems.append(f"repair log for {saddle} differs from recomputation")
     if set(cert.domains) != set(cert.boundary):
         problems.append("domains and boundary cycles cover different saddles")
@@ -189,41 +217,27 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
     if cert.repair_extra_pairs != extra:
         problems.append("repair surplus differs from the logs")
 
-    chi = (
-        sum(2 - 2 * spec.genus - spec.profile.s for spec in cert.domains.values())
-        + cert.vertex_count
-        - cert.edge_count
-        - extra
-        - 2 * cert.handle_count
-    )
+    chi = _chi(cert)
     if cert.chi != chi:
         problems.append(f"stored chi {cert.chi} differs from recomputed {chi}")
-    if chi % 2:
-        problems.append(f"odd Euler characteristic {chi}")
     if cert.connected:
-        if chi > 2:
-            problems.append(f"Euler characteristic {chi} exceeds 2")
         if cert.genus != (2 - chi) // 2:
             problems.append("stored genus differs from (2 - chi) / 2")
     elif cert.genus is not None:
         problems.append("disconnected assembly should not carry a global genus")
     for comp in cert.components:
-        if comp.chi % 2:
-            problems.append(f"component {comp.elements} has odd chi")
-        if comp.chi > 2:
-            problems.append(f"component {comp.elements} chi {comp.chi} exceeds 2")
         if comp.genus != (2 - comp.chi) // 2:
             problems.append(f"component {comp.elements} genus mismatch")
     if sum(c.chi for c in cert.components) != chi:
         problems.append("component characteristics do not sum to chi")
     if cert.connected != (len(cert.components) <= 1):
         problems.append("connected flag contradicts the component list")
-    return problems
+    return problems + _invariant_problems(cert, _core(order))
 
 
 def certificate_from_dict(data: dict) -> RealizationCertificate:
     """Rebuild a certificate from its serialized form."""
-    from .domains import DomainSpec, Recipe, RecipeKind, RepairOp, RepairStep
+    from .domains import Recipe, RecipeKind, RepairOp, RepairStep
     from .assemble import ComponentSummary
     from .order import RoleMap, Role
 

@@ -37,9 +37,7 @@ from smale_orders.errors import ConnectivityFailure, DisconnectedGraph
 from smale_orders.gradient import (
     check_gradient_like,
     check_necessary,
-    dual_map,
     enumerate_embeddings,
-    graph_of_map,
     level_graphs,
     multigraphs_isomorphic,
 )
@@ -47,7 +45,9 @@ from smale_orders.order import load_order
 from smale_orders.pipeline import realize, verify_certificate
 
 from helpers import (
+    dual_map,
     enumerate_type_matchings,
+    graph_of_map,
     oracle_axiom_counts,
     usable_orders,
     walk_boundaries,

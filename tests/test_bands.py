@@ -80,13 +80,29 @@ def test_three_chain_minimal_cycle_single_component():
     assert verify_boundary_cycles(gluing, cycles, minimal, CHAIN3) == []
 
 
-def test_glue_rejects_unbalanced_assignment():
-    unbalanced = CycleAssignment(
-        cycles={
-            "w": tuple(T(a, "A", b, "w") for a, b in [("s1", "s2"), ("s2", "s1")] * 2),
-            "A": tuple(T(a, "w", b, "A") for a, b in [("s1", "s2"), ("s2", "s1")]),
-        }
-    )
+def _spliced_built_diamond():
+    """The built diamond cycles with one extra s1 -> s2 -> s1 pair at A."""
+    built = build_initial_cycles(diamond_order())
+    word = list(built.cycle("A"))
+    pos = next(i for i, t in enumerate(word) if t.right == "s1")
+    word[pos + 1 : pos + 1] = [T("s1", "w", "s2", "A"), T("s2", "w", "s1", "A")]
+    return CycleAssignment(cycles={**built.cycles, "A": tuple(word)})
+
+
+@pytest.mark.parametrize(
+    "unbalanced",
+    [
+        CycleAssignment(
+            cycles={
+                "w": tuple(T(a, "A", b, "w") for a, b in [("s1", "s2"), ("s2", "s1")] * 2),
+                "A": tuple(T(a, "w", b, "A") for a, b in [("s1", "s2"), ("s2", "s1")]),
+            }
+        ),
+        _spliced_built_diamond(),
+    ],
+    ids=["doubled-attractor-cycle", "extra-splice"],
+)
+def test_glue_rejects_unbalanced_assignment(unbalanced):
     with pytest.raises(StarViolated):
         glue_bands(unbalanced, diamond_order())
 

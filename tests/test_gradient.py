@@ -14,15 +14,13 @@ from smale_orders.gradient import (
     LevelGraph,
     check_gradient_like,
     check_necessary,
-    dual_map,
     enumerate_embeddings,
-    graph_of_map,
     level_graphs,
     multigraphs_isomorphic,
 )
 from smale_orders.order import load_order
 
-from helpers import usable_orders
+from helpers import dual_map, graph_of_map, usable_orders
 
 CHAIN3 = load_order({"elements": ["A", "s", "w"], "relations": [["A", "s"], ["s", "w"]]})
 TWO_REPELLERS = load_order(

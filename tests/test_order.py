@@ -51,6 +51,11 @@ def test_load_rejects_self_pair():
         load_order({"elements": ["a", "b"], "relations": [["a", "a"], ["a", "b"]]})
 
 
+def test_from_down_sets_rejects_self_loop():
+    with pytest.raises(CycleInRelation):
+        from_down_sets(("a", "b"), (0b11, 0))
+
+
 def test_load_rejects_duplicates_and_unknowns():
     with pytest.raises(DuplicateElement):
         load_order({"elements": ["a", "a"], "relations": []})

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from smale_orders.corpus import diamond_order, example1_cycles
+import smale_orders.pipeline as pipeline
+from smale_orders.bands import BoundaryCycle, glue_bands
+from smale_orders.corpus import diamond_order, example1_cycles, example_cycles
 from smale_orders.cycles import CycleAssignment, build_initial_cycles, verify_star
 from smale_orders.errors import PreconditionViolated
 from smale_orders.order import check_connectivity, from_down_sets, load_order
@@ -94,3 +96,18 @@ def test_certificates_carry_attribution_fields():
     assert doc["tool_version"] == "0.1.0"
     assert doc["schema_version"] == 1
     assert doc["matching_strategy"] == "first-compatible"
+
+
+def test_realize_rejects_broken_boundary(monkeypatch):
+    """A boundary walk with one advance step shifted fails the invariant pass."""
+
+    def shifted_glue(assignment, order):
+        gluing, cycles = glue_bands(assignment, order)
+        seq = list(cycles["s2"][0].sequence)
+        owner, idx = seq[2]  # an advance target
+        seq[2] = (owner, (idx + 1) % len(assignment.cycle(owner)))
+        return gluing, {**cycles, "s2": (BoundaryCycle(saddle="s2", sequence=tuple(seq)),)}
+
+    monkeypatch.setattr(pipeline, "glue_bands", shifted_glue)
+    with pytest.raises(AssertionError, match=r"end = beginning \+ 1"):
+        realize(diamond_order(), example_cycles())
