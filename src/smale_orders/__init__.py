@@ -21,7 +21,6 @@ from .cycles import (
     verify_star,
 )
 from .bands import (
-    Band,
     BandGluing,
     BoundaryCycle,
     boundary_profile,
@@ -61,7 +60,6 @@ from .pipeline import certificate_from_dict, realize, verify_certificate
 __version__ = "0.1.0"
 
 __all__ = [
-    "Band",
     "BandGluing",
     "BoundaryCycle",
     "ConnectivityReport",

@@ -29,7 +29,6 @@ from .order import FiniteOrder, Role, RoleMap, _linked_components, classify
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
-DEFAULT_MATCHING_STRATEGY = "first-compatible"
 
 
 @dataclass(frozen=True)
@@ -62,13 +61,13 @@ class RealizationCertificate:
     genus: int | None
     components: tuple
     notes: tuple
-    matching_strategy: str = DEFAULT_MATCHING_STRATEGY
 
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "tool_version": TOOL_VERSION,
-            "matching_strategy": self.matching_strategy,
+            # the one band matching rule: first unmatched compatible band
+            "matching_strategy": "first-compatible",
             "order": self.order.to_dict(),
             "roles": {e: r.value for e, r in sorted(self.roles.roles.items())},
             "generations": dict(sorted(self.roles.generations.items())),
@@ -129,7 +128,6 @@ def assemble(
     boundary: dict,
     domains: dict,
     repairs: dict | None = None,
-    matching_strategy: str = DEFAULT_MATCHING_STRATEGY,
 ) -> RealizationCertificate:
     """Aggregate the pipeline stages into a certificate (no handles yet)."""
     roles = classify(order)
@@ -188,7 +186,6 @@ def assemble(
         genus=(2 - chi) // 2 if connected else None,
         components=tuple(summaries),
         notes=tuple(notes),
-        matching_strategy=matching_strategy,
     )
 
 

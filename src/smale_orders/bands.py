@@ -1,12 +1,13 @@
 """Band gluing and boundary cycles.
 
 Every transition slot in an extremal element's cycle is a band: one half of
-a translation band running from a repeller down to an attractor.  Gluing
-matches each attractor-side band with a repeller-side band of the same type
-(same ordered saddle pair, mediators crossed).  For cycles satisfying
-conditions 1 and 2 such a perfect matching exists exactly when the star
-balance holds, so the matching itself detects an unbalanced assignment: a
-band left without a partner raises ``StarViolated``.
+a translation band running from a repeller down to an attractor.  A band is
+named by its key ``(owner, index)`` and is the cycle's own ``Transition`` at
+that slot.  Gluing matches each attractor-side band with a repeller-side
+band of the same type (same ordered saddle pair, mediators crossed).  For
+cycles satisfying conditions 1 and 2 such a perfect matching exists exactly
+when the star balance holds, so the matching itself detects an unbalanced
+assignment: a band left without a partner raises ``StarViolated``.
 
 The boundary of a saddle's domain is then read off by walking: glue-step to
 the partner band, advance-step to the adjacent band at that extremal point,
@@ -17,6 +18,8 @@ the beginning band's index plus one, which is the single indexation axiom
 the walk must satisfy.  Partners are chosen lazily during the walk, first
 available in index order, which is what makes the length-4 cycle
 example close into one long boundary component instead of two short ones.
+The match queues and each saddle's starting bands are built in one pass over
+the bands, so no step rescans all bands per saddle.
 """
 
 from __future__ import annotations
@@ -28,22 +31,6 @@ from .order import FiniteOrder, classify
 from .cycles import CycleAssignment, Transition
 
 BandKey = tuple[str, int]
-
-
-@dataclass(frozen=True)
-class Band:
-    """One indexed slot in an extremal element's cycle."""
-
-    owner: str
-    index: int
-    transition: Transition
-
-    @property
-    def key(self) -> BandKey:
-        return (self.owner, self.index)
-
-    def is_beginning_for(self, saddle: str) -> bool:
-        return self.transition.right == saddle
 
 
 @dataclass(frozen=True)
@@ -91,19 +78,22 @@ class BoundaryCycle:
 
 
 def bands_of(assignment: CycleAssignment) -> dict:
-    """Band objects per key, in canonical construction order."""
-    out = {}
-    for owner in assignment.owners():
-        for i, t in enumerate(assignment.cycle(owner)):
-            out[(owner, i)] = Band(owner=owner, index=i, transition=t)
-    return out
+    """The transition in each band slot, keyed ``(owner, index)``, in key order.
+
+    A dict, not a list per owner: a key from an untrusted certificate such
+    as ``("w", -1)`` is an unknown band, not the last one.
+    """
+    return {
+        (owner, i): t
+        for owner in assignment.owners()
+        for i, t in enumerate(assignment.cycle(owner))
+    }
 
 
-def _group_id(band: Band, attractor_side: bool) -> tuple:
-    t = band.transition
+def _group_id(owner: str, t: Transition, attractor_side: bool) -> tuple:
     if attractor_side:
-        return (band.owner, t.mediator, t.left, t.right)
-    return (t.mediator, band.owner, t.left, t.right)
+        return (owner, t.mediator, t.left, t.right)
+    return (t.mediator, owner, t.left, t.right)
 
 
 def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
@@ -117,52 +107,46 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
     """
     roles = classify(order)
     bands = bands_of(assignment)
-    is_attractor = {
-        owner: not order.down_set(owner) for owner in assignment.owners()
-    }
+    is_attractor = {owner: not order.down_set(owner) for owner in assignment.owners()}
     cycle_len = {owner: len(assignment.cycle(owner)) for owner in assignment.owners()}
 
+    # one pass in key order: the bands of each type and side waiting for a
+    # partner, and each saddle's attractor-side bands that begin at it
     queues: dict = {}
-    for key in sorted(bands):
-        band = bands[key]
-        gid = _group_id(band, is_attractor[band.owner])
-        side = 0 if is_attractor[band.owner] else 1
-        queues.setdefault((gid, side), []).append(key)
+    starts: dict = {}
+    for key, t in bands.items():
+        attr = is_attractor[key[0]]
+        gid = _group_id(key[0], t, attr)
+        queues.setdefault((gid, 0 if attr else 1), []).append(key)
+        if attr:
+            starts.setdefault(t.right, []).append(key)
+    # an iterator per queue drops already matched bands from its front
+    queues = {q: iter(keys) for q, keys in queues.items()}
 
     partner: dict = {}
 
     def partner_of(key: BandKey) -> BandKey:
         if key in partner:
             return partner[key]
-        band = bands[key]
-        attr = is_attractor[band.owner]
-        gid = _group_id(band, attr)
-        opposite = queues.get((gid, 1 if attr else 0), [])
-        for cand in opposite:
+        t = bands[key]
+        attr = is_attractor[key[0]]
+        gid = _group_id(key[0], t, attr)
+        for cand in queues.get((gid, 1 if attr else 0), ()):
             if cand not in partner:
                 partner[key] = cand
                 partner[cand] = key
                 return cand
-        raise StarViolated(
-            f"no compatible partner left for band {key} of type {band.transition.key}"
-        )
+        raise StarViolated(f"no compatible partner left for band {key} of type {t.key}")
 
     def advance(key: BandKey, kind: str) -> BandKey:
         owner, idx = key
-        n = cycle_len[owner]
-        step = 1 if kind == "beg" else -1
-        return (owner, (idx + step) % n)
+        return (owner, (idx + (1 if kind == "beg" else -1)) % cycle_len[owner])
 
     visited: set = set()
     cycles: dict = {s: [] for s in roles.saddles()}
 
     for saddle in roles.saddles():
-        starts = sorted(
-            key
-            for key, band in bands.items()
-            if is_attractor[band.owner] and band.is_beginning_for(saddle)
-        )
-        for start in starts:
+        for start in starts.get(saddle, ()):
             if (start, "beg") in visited:
                 continue
             seq = [start]
@@ -176,18 +160,13 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
                     )
                 visited.add((glued, kind))
                 seq.append(glued)
-                gband = bands[glued]
-                if kind == "beg" and is_attractor[gband.owner]:
+                if kind == "beg" and is_attractor[glued[0]]:
                     raise ExhaustionFailure("walk pattern broken: expected repeller side")
-                if kind == "end" and not is_attractor[gband.owner]:
+                if kind == "end" and not is_attractor[glued[0]]:
                     raise ExhaustionFailure("walk pattern broken: expected attractor side")
                 nxt = advance(glued, kind)
                 nkind = "end" if kind == "beg" else "beg"
-                mention = (
-                    bands[nxt].transition.left
-                    if nkind == "end"
-                    else bands[nxt].transition.right
-                )
+                mention = bands[nxt].left if nkind == "end" else bands[nxt].right
                 if mention != saddle:
                     raise ExhaustionFailure(
                         f"boundary walk for {saddle} drifted to band {nxt}"
@@ -208,11 +187,8 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
     if unmatched:
         raise StarViolated(f"bands left unmatched: {unmatched}")
 
-    pairs = tuple(
-        sorted((a, partner[a]) for a in bands if is_attractor[a[0]])
-    )
-    gluing = BandGluing(pairs=pairs)
-    return gluing, {s: tuple(cs) for s, cs in cycles.items()}
+    pairs = tuple(sorted((a, partner[a]) for a in bands if is_attractor[a[0]]))
+    return BandGluing(pairs=pairs), {s: tuple(cs) for s, cs in cycles.items()}
 
 
 def boundary_profile(cycles) -> tuple[int, ...]:
@@ -239,6 +215,10 @@ def verify_boundary_cycles(
     bands = bands_of(assignment)
     is_attractor = {o: not order.down_set(o) for o in assignment.owners()}
     cycle_len = {o: len(assignment.cycle(o)) for o in assignment.owners()}
+    related: dict = {}  # saddle -> keys of the bands that mention it, in key order
+    for key, t in bands.items():
+        for s in {t.left, t.right}:
+            related.setdefault(s, []).append(key)
 
     seen_in_pairs: dict = {}
     for a, b in gluing.pairs:
@@ -247,13 +227,12 @@ def verify_boundary_cycles(
                 problems.append(f"matching references unknown band {k}")
         if a not in bands or b not in bands:
             continue
-        ba, bb = bands[a], bands[b]
-        if not is_attractor.get(ba.owner, False) or is_attractor.get(bb.owner, True):
+        if not is_attractor.get(a[0], False) or is_attractor.get(b[0], True):
             problems.append(f"pair {a}~{b} does not join the two sides")
-        ta, tb = ba.transition, bb.transition
+        ta, tb = bands[a], bands[b]
         if (ta.left, ta.right) != (tb.left, tb.right):
             problems.append(f"pair {a}~{b} joins incompatible types {ta.key} / {tb.key}")
-        if ta.mediator != bb.owner or tb.mediator != ba.owner:
+        if ta.mediator != b[0] or tb.mediator != a[0]:
             problems.append(f"pair {a}~{b} crosses the wrong extremal pair")
         for k in (a, b):
             seen_in_pairs[k] = seen_in_pairs.get(k, 0) + 1
@@ -279,7 +258,7 @@ def verify_boundary_cycles(
                 if key not in bands:
                     problems.append(f"{saddle}: unknown band {key} in cycle")
                     break
-                t = bands[key].transition
+                t = bands[key]
                 if saddle not in (t.left, t.right):
                     problems.append(f"{saddle}: band {key} of type {t.key} unrelated")
                 appearances[key] = appearances.get(key, 0) + 1
@@ -308,16 +287,14 @@ def verify_boundary_cycles(
                                 " end = beginning + 1 rule"
                             )
         for key, count in sorted(appearances.items()):
-            t = bands[key].transition
+            t = bands[key]
             allowed = 2 if t.left == t.right == saddle else 1
             if count > allowed:
                 problems.append(
                     f"{saddle}: band {key} appears {count} times (max {allowed})"
                 )
-        for key, band in sorted(bands.items()):
-            t = band.transition
-            if saddle not in (t.left, t.right):
-                continue
+        for key in related.get(saddle, ()):
+            t = bands[key]
             expected = 2 if t.left == t.right else 1
             if appearances.get(key, 0) != expected:
                 problems.append(

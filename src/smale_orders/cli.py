@@ -16,12 +16,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .assemble import DEFAULT_MATCHING_STRATEGY, TOOL_VERSION
+from .assemble import TOOL_VERSION
 from .cycles import CycleAssignment
 from .dot import band_incidence_dot, embedding_dot, hasse_dot, level_graph_dot
 from .errors import (
     ConnectivityFailure,
     DisconnectedGraph,
+    MalformedCycles,
     NotGradientShape,
     PreconditionViolated,
     SmaleOrderError,
@@ -51,7 +52,6 @@ class RunConfig:
     output_path: str | None = None
     cycles_path: str | None = None
     max_genus: int | None = None
-    matching_strategy: str = DEFAULT_MATCHING_STRATEGY
     verbosity: int = 0
 
 
@@ -127,9 +127,7 @@ def run(config: RunConfig) -> int:
                 _load_cycles_file(config.cycles_path) if config.cycles_path else None
             )
             try:
-                certificate = realize(
-                    order, assignment, matching_strategy=config.matching_strategy
-                )
+                certificate = realize(order, assignment)
             except ConnectivityFailure as exc:
                 _emit(
                     config,
@@ -159,7 +157,7 @@ def run(config: RunConfig) -> int:
         if config.command == "export-dot":
             return _run_export_dot(config, order)
 
-    except (PreconditionViolated, StarViolated, ValueError, OSError) as exc:
+    except (MalformedCycles, PreconditionViolated, StarViolated, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
@@ -198,9 +196,7 @@ def _run_export_dot(config: RunConfig, order) -> int:
 
     assignment = _load_cycles_file(config.cycles_path) if config.cycles_path else None
     try:
-        certificate = realize(
-            order, assignment, matching_strategy=config.matching_strategy
-        )
+        certificate = realize(order, assignment)
         write("bands", band_incidence_dot(certificate))
     except (ConnectivityFailure, PreconditionViolated):
         pass
@@ -263,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--cycles", help="externally chosen cycle assignment (JSON)"
             )
-            p.add_argument(
-                "--matching-strategy",
-                default=DEFAULT_MATCHING_STRATEGY,
-                help="band matching rule (only 'first-compatible' is implemented)",
-            )
         if name in ("gradient-like", "export-dot"):
             p.add_argument(
                 "--max-genus",
@@ -280,7 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after -h and --version and 2 on a usage error;
+        # 2 means a refusal here, so a usage error exits 1
+        return 1 if exc.code else 0
     if args.seed_corpus:
         for path in seed_corpus(args.seed_corpus):
             sys.stdout.write(path + "\n")
@@ -294,7 +290,6 @@ def main(argv=None) -> int:
         output_path=args.output,
         cycles_path=getattr(args, "cycles", None),
         max_genus=getattr(args, "max_genus", None),
-        matching_strategy=getattr(args, "matching_strategy", DEFAULT_MATCHING_STRATEGY),
         verbosity=args.verbose,
     )
     return run(config)

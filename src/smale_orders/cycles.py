@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .errors import (
     ConnectivityFailure,
+    MalformedCycles,
     NoMediator,
     NotExtremal,
     PreconditionViolated,
@@ -70,15 +71,24 @@ class CycleAssignment:
 
     @staticmethod
     def from_dict(data: dict) -> "CycleAssignment":
-        return CycleAssignment(
-            cycles={
-                owner: tuple(
-                    Transition(left=a, mediator=m, right=b, owner=owner)
-                    for a, m, b in word
-                )
-                for owner, word in data.items()
-            }
-        )
+        """Read the JSON form; a wrong shape raises ``MalformedCycles``."""
+        if not isinstance(data, dict):
+            raise MalformedCycles("top level: expected an object")
+        cycles = {}
+        for owner, word in data.items():
+            if not isinstance(word, (list, tuple)):
+                raise MalformedCycles(f"{owner}: expected an array of transitions")
+            for i, item in enumerate(word):
+                if not (
+                    isinstance(item, (list, tuple))
+                    and len(item) == 3
+                    and all(isinstance(x, str) for x in item)
+                ):
+                    raise MalformedCycles(
+                        f"{owner}[{i}]: expected a [left, mediator, right] triple"
+                    )
+            cycles[owner] = tuple(Transition(a, m, b, owner) for a, m, b in word)
+        return CycleAssignment(cycles=cycles)
 
 
 @dataclass(frozen=True)
@@ -314,23 +324,16 @@ def _group_key(owner_is_attractor, owner, t):
 def star_ledger(assignment: CycleAssignment, order: FiniteOrder) -> StarLedger:
     """Count transitions per quadruple, on both sides and in both directions.
 
-    The ledger covers exactly the quadruples with at least one admissible
-    transition; groups never touched by the assignment carry zero counts.
+    The ledger lists only the quadruples that some transition of the
+    assignment touches.  A quadruple that neither side touches would carry
+    four zero counts, so leaving it out changes neither the balance nor the
+    deficit.
     """
     groups: dict = {}
-
-    def slot(key):
-        return groups.setdefault(key, [0, 0, 0, 0])
-
-    for owner in assignment.owners():
-        attractor = not order.down_set(owner)
-        for t in admissible_transitions(order, owner):
-            slot(_group_key(attractor, owner, t))
-
     for owner in assignment.owners():
         attractor = not order.down_set(owner)
         for t in assignment.cycle(owner):
-            counts = slot(_group_key(attractor, owner, t))
+            counts = groups.setdefault(_group_key(attractor, owner, t), [0, 0, 0, 0])
             k, l = sorted((t.left, t.right))
             if k == l:
                 if attractor:

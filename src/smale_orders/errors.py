@@ -39,6 +39,11 @@ class IsolatedElement(OrderSpecError):
 # ---------------------------------------------------------------- cycle stage
 
 
+class MalformedCycles(SmaleOrderError):
+    """Wrong JSON shape of a cycle assignment; the message names the JSON
+    path, e.g. w[1]."""
+
+
 class NotExtremal(SmaleOrderError):
     pass
 

@@ -19,7 +19,6 @@ spec and repair log for both, and asserts that the repair worked.
 from __future__ import annotations
 
 from .assemble import (
-    DEFAULT_MATCHING_STRATEGY,
     RealizationCertificate,
     _chi_of,
     add_saddle_handles,
@@ -47,9 +46,7 @@ from .order import FiniteOrder, check_connectivity, classify, load_order
 
 
 def realize(
-    order: FiniteOrder,
-    assignment: CycleAssignment | None = None,
-    matching_strategy: str = DEFAULT_MATCHING_STRATEGY,
+    order: FiniteOrder, assignment: CycleAssignment | None = None
 ) -> RealizationCertificate:
     """Realize the order, or raise ConnectivityFailure naming the obstacle.
 
@@ -57,8 +54,6 @@ def realize(
     elements outside north-south pairs and satisfy the cycle conditions; by
     default the doubled Euler-circuit cycles are built.
     """
-    if matching_strategy != DEFAULT_MATCHING_STRATEGY:
-        raise ValueError(f"unknown matching strategy {matching_strategy!r}")
     report = check_connectivity(order)
     if not report.passed:
         raise ConnectivityFailure(
@@ -94,15 +89,7 @@ def realize(
     for saddle in sorted(boundary):
         domains[saddle], repairs[saddle] = _domain(boundary[saddle])
 
-    certificate = assemble(
-        order,
-        balanced,
-        gluing,
-        boundary,
-        domains,
-        repairs,
-        matching_strategy=matching_strategy,
-    )
+    certificate = assemble(order, balanced, gluing, boundary, domains, repairs)
     certificate = add_saddle_handles(certificate, order)
     problems = _invariant_problems(certificate, core)
     if problems:
@@ -199,7 +186,11 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
         problems.append("vertex count differs from the number of extremals")
 
     for saddle in sorted(cert.boundary):
-        spec, log = _domain(cert.boundary[saddle])
+        try:
+            spec, log = _domain(cert.boundary[saddle])
+        except ValueError as exc:  # no valid length profile
+            problems.append(f"boundary cycles of {saddle} give no domain: {exc}")
+            continue
         if cert.domains.get(saddle) != spec:
             problems.append(f"domain spec for {saddle} differs from recomputation")
         if cert.repairs.get(saddle, RepairLog(steps=())) != log:
@@ -307,5 +298,4 @@ def certificate_from_dict(data: dict) -> RealizationCertificate:
             for c in data["components"]
         ),
         notes=tuple(data["notes"]),
-        matching_strategy=data["matching_strategy"],
     )

@@ -14,6 +14,16 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_module(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback would show."""
+    src = str(Path(smale_orders.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "smale_orders.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+
+
 @pytest.fixture()
 def corpus_dir(tmp_path):
     seed_corpus(str(tmp_path / "corpus"))
@@ -156,6 +166,34 @@ def test_verify_cert_catches_tampering(corpus_dir, tmp_path):
     assert any("chi" in p for p in report["problems"])
 
 
+def test_verify_cert_rejects_other_matching_strategy(corpus_dir, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run_cli("realize", str(corpus_dir / "example1.json"), "-o", str(cert_path))
+    doc = json.loads(cert_path.read_text())
+    doc["matching_strategy"] = "random"
+    cert_path.write_text(json.dumps(doc))
+    out = tmp_path / "verify.json"
+    assert run_cli("verify-cert", str(cert_path), "-o", str(out)) == 2
+    assert json.loads(out.read_text())["problems"] == [
+        "re-serialization differs from the input document"
+    ]
+
+
+def test_verify_cert_empty_boundary_cycle_is_a_refusal(corpus_dir, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run_cli("realize", str(corpus_dir / "example1.json"), "-o", str(cert_path))
+    doc = json.loads(cert_path.read_text())
+    doc["boundary_cycles"]["s1"] = [[]]
+    cert_path.write_text(json.dumps(doc))
+    proc = run_module("verify-cert", str(cert_path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    problems = json.loads(proc.stdout)["problems"]
+    assert "boundary cycles of s1 give no domain: boundary lengths must be even" \
+        " and >= 2, got -1" in problems
+    assert "s1: cycle does not close on its first band" in problems
+
+
 def test_outputs_byte_deterministic(corpus_dir, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
@@ -220,6 +258,23 @@ def test_missing_command_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["realize"], 1),
+        (["realize", "order.json", "--no-such-flag"], 1),
+        (["gradient-like", "order.json", "--max-genus", "abc"], 1),
+        (["-h"], 0),
+        (["realize", "-h"], 0),
+        (["--version"], 0),
+    ],
+)
+def test_usage_errors_exit_one(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert ("error:" in err) == bool(code)
+
+
+@pytest.mark.parametrize(
     "spec, path",
     [
         (["a", "b"], "top level"),
@@ -234,12 +289,27 @@ def test_missing_command_is_usage_error(capsys):
 def test_malformed_order_files_are_input_errors(tmp_path, spec, path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))
-    src = str(Path(smale_orders.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-m", "smale_orders.cli", "validate", str(bad)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_module("validate", str(bad))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: expected ")
+
+
+@pytest.mark.parametrize("command", ["realize", "export-dot"])
+@pytest.mark.parametrize(
+    "spec, path",
+    [
+        ([["s1", "A", "s2"]], "top level"),
+        ({"w": [["s1", "A"]]}, "w[0]"),
+        ({"w": [["s1", "A", "s2"], ["s2", "A", 1]]}, "w[1]"),
+        ({"w": "s1As2"}, "w"),
+    ],
+)
+def test_malformed_cycle_files_are_input_errors(corpus_dir, tmp_path, command, spec, path):
+    bad = tmp_path / "bad.cycles.json"
+    bad.write_text(json.dumps(spec))
+    order = str(corpus_dir / "example1.json")
+    proc = run_module(command, order, "--cycles", str(bad), "-o", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {path}: expected ")

@@ -144,6 +144,15 @@ def test_verify_star_example_all_counts_two():
     assert ledger.groups[("w", "A", "s1", "s2")] == (2, 2, 2, 2)
 
 
+def test_star_ledger_lists_only_touched_groups():
+    # example1 uses no self-transition, so the admissible s1 -> s1 types of
+    # either side touch no group
+    ledger = star_ledger(example1_cycles(), diamond_order())
+    assert ledger.balanced
+    assert ("w", "A", "s1", "s1") not in ledger.groups
+    assert sorted(ledger.groups) == [("w", "A", "s1", "s2")]
+
+
 def unbalanced_pair_case():
     return CycleAssignment(
         cycles={

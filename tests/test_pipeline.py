@@ -91,6 +91,14 @@ def test_verify_certificate_flags_tampered_fields():
     assert any("genus" in p for p in verify_certificate(bad))
 
 
+def test_verify_certificate_reports_saddle_owned_cycle():
+    doc = realize(diamond_order(), example1_cycles()).to_dict()
+    doc["cycles"]["s1"] = [["A", "w", "A"]]
+    problems = verify_certificate(certificate_from_dict(doc))
+    assert "'s1' is a saddle, not an extremal element" in problems
+    assert "band ('s1', 0) is in 0 pairs, not 1" in problems
+
+
 def test_certificates_carry_attribution_fields():
     doc = realize(diamond_order(), example1_cycles()).to_dict()
     assert doc["tool_version"] == "0.1.0"
