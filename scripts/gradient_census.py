@@ -3,8 +3,8 @@
 
 Restricts the small-order census to gradient-shaped orders (first-generation
 saddles touching at most two extremals per side, connected level graphs) and
-runs the dual-embedding decision on each, reporting how many are realizable
-and at which genus the first witness appears.
+runs the labelled dual-embedding decision on each, reporting how many are
+realizable and at which genus the first witness appears.
 """
 
 import argparse

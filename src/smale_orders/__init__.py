@@ -35,7 +35,6 @@ from .domains import (
     RepairLog,
     Verdict,
     check_constructible,
-    domain_genus,
     repair_profile,
 )
 from .assemble import (
@@ -48,7 +47,6 @@ from .assemble import (
 from .gradient import (
     GradientVerdict,
     LevelGraph,
-    RotationSystem,
     ViolationReport,
     check_gradient_like,
     check_necessary,
@@ -76,7 +74,6 @@ __all__ = [
     "RepairLog",
     "Role",
     "RoleMap",
-    "RotationSystem",
     "StarLedger",
     "Transition",
     "Verdict",
@@ -93,7 +90,6 @@ __all__ = [
     "check_gradient_like",
     "check_necessary",
     "classify",
-    "domain_genus",
     "enumerate_embeddings",
     "glue_bands",
     "level_graphs",

@@ -52,7 +52,6 @@ class RunConfig:
     output_path: str | None = None
     cycles_path: str | None = None
     max_genus: int | None = None
-    verbosity: int = 0
 
 
 def _dump(obj) -> str:
@@ -170,7 +169,7 @@ def _run_verify_cert(config: RunConfig) -> int:
         with open(config.input_path, encoding="utf-8") as fh:
             data = json.load(fh)
         certificate = certificate_from_dict(data)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, SmaleOrderError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, SmaleOrderError) as exc:
         sys.stderr.write(f"error: unreadable certificate: {exc}\n")
         return 1
     problems = verify_certificate(certificate)
@@ -207,8 +206,12 @@ def _run_export_dot(config: RunConfig, order) -> int:
         write("level-lowest", level_graph_dot(lowest, "lowest"))
         verdict = check_gradient_like(order, config.max_genus)
         if verdict.realizable:
-            write("embedding", embedding_dot(verdict.embedding, highest))
-            write("embedding-dual", level_graph_dot(verdict.dual, "dual"))
+            write(
+                "embedding",
+                embedding_dot(verdict.embedding, highest, verdict.face_attractors),
+            )
+            # the dual with each face named by its attractor is the lowest graph
+            write("embedding-dual", level_graph_dot(lowest, "dual"))
     except (NotGradientShape, DisconnectedGraph):
         pass
 
@@ -254,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("input", help="order file (certificate file for verify-cert)")
         p.add_argument("-o", "--output", help="output file (directory for export-dot)")
-        p.add_argument("-v", "--verbose", action="count", default=0)
         if name in ("realize", "export-dot"):
             p.add_argument(
                 "--cycles", help="externally chosen cycle assignment (JSON)"
@@ -290,7 +292,6 @@ def main(argv=None) -> int:
         output_path=args.output,
         cycles_path=getattr(args, "cycles", None),
         max_genus=getattr(args, "max_genus", None),
-        verbosity=args.verbose,
     )
     return run(config)
 

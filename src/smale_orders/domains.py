@@ -182,13 +182,6 @@ def check_constructible(profile: LengthProfile):
     return Verdict.CONSTRUCTIBLE, spec
 
 
-def domain_genus(spec: DomainSpec) -> int:
-    """Genus of the closed surface the recipe starts from."""
-    if spec.recipe.kind in (RecipeKind.HORSESHOE, RecipeKind.FIXED_SADDLE):
-        return 0
-    return _genus_from_lengths(spec.profile.lengths)
-
-
 def _split_choices(n: int):
     """Even splits of one circle of length n into two of total length n+2,
     avoiding length-2 parts whenever possible."""

@@ -78,20 +78,24 @@ def level_graph_dot(graph: LevelGraph, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def embedding_dot(embedding: Embedding, graph: LevelGraph, name: str = "embedding") -> str:
+def embedding_dot(
+    embedding: Embedding,
+    graph: LevelGraph,
+    face_attractors: tuple[str, ...],
+    name: str = "embedding",
+) -> str:
     """Level graph with the rotation order on edge-ends and one annotation
-    node per traced face."""
+    node per traced face, naming the attractor the face is dual to."""
     lines = [f"graph {name} {{"]
     for v in graph.vertices:
-        darts = embedding.rotation.rotation.get(v, ())
+        darts = embedding.rotation.get(v, ())
         order = ", ".join(f"{graph.edges[e][0]}.{end}" for e, end in darts)
         lines.append(f"  {_quote(v)} [label={_quote(f'{v} | {order}')}];")
     for label, (u, v) in graph.edges:
         lines.append(f"  {_quote(u)} -- {_quote(v)} [label={_quote(label)}];")
-    for i, face in enumerate(embedding.faces):
+    for i, (face, a) in enumerate(zip(embedding.faces, face_attractors)):
         walk = " ".join(f"{graph.edges[e][0]}.{end}" for e, end in face)
-        lines.append(
-            f"  {_quote(f'face{i}')} [shape=note, label={_quote(f'face {i}: {walk}')}];"
-        )
+        note = f"face {i} ({a}): {walk}"
+        lines.append(f"  {_quote(f'face{i}')} [shape=note, label={_quote(note)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -80,6 +80,14 @@ class ExhaustionFailure(SmaleOrderError):
     """
 
 
+# --------------------------------------------------------- certificate input
+
+
+class MalformedCertificate(SmaleOrderError):
+    """Wrong JSON shape of a certificate: a key is missing or holds the
+    wrong container; the message names the JSON path, e.g. domains.s1.recipe."""
+
+
 # --------------------------------------------------------------- domain stage
 
 

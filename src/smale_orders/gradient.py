@@ -11,9 +11,10 @@ mirrored rules apply below-to-above for minimal elements.
 For orders shaped like gradient-like diffeomorphisms (only first-generation
 saddles, each touching at most two extremals per side) realizability is a
 pure graph embedding question: the graph of repellers joined by saddles must
-embed cellularly in some closed oriented surface so that its dual is the
-graph of attractors joined by saddles.  Rotation systems enumerate those
-embeddings exhaustively.
+embed cellularly in some closed oriented surface so that its labelled dual is
+the graph of attractors joined by saddles, the dual edge across each saddle
+joining that saddle's own attractors.  Rotation systems enumerate those
+embeddings exhaustively; a witness names the attractor of each face.
 """
 
 from __future__ import annotations
@@ -127,15 +128,6 @@ class LevelGraph:
     def endpoint_pairs(self) -> tuple:
         return tuple(pair for _, pair in self.edges)
 
-    def degree(self, v: str) -> int:
-        return sum((pair.count(v)) for _, pair in self.edges)
-
-    def to_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [{"label": lab, "ends": list(pair)} for lab, pair in self.edges],
-        }
-
 
 def level_graphs(order: FiniteOrder) -> tuple[LevelGraph, LevelGraph]:
     """The graphs of the two highest and two lowest levels."""
@@ -174,18 +166,8 @@ Dart = tuple[int, int]  # (edge index, end)
 
 
 @dataclass(frozen=True)
-class RotationSystem:
-    """Cyclic order of edge-ends around each vertex."""
-
-    rotation: dict  # vertex -> tuple[Dart, ...]
-
-    def to_dict(self) -> dict:
-        return {v: [list(d) for d in darts] for v, darts in sorted(self.rotation.items())}
-
-
-@dataclass(frozen=True)
 class Embedding:
-    rotation: RotationSystem
+    rotation: dict  # vertex -> tuple[Dart, ...], counterclockwise
     faces: tuple  # tuple of dart tuples
     genus: int
 
@@ -266,73 +248,12 @@ def enumerate_embeddings(graph: LevelGraph, max_genus: int | None = None):
         if genus <= max_genus:
             out.append(
                 Embedding(
-                    rotation=RotationSystem(rotation=rotation),
+                    rotation=rotation,
                     faces=faces if e_count else ((),),
                     genus=genus,
                 )
             )
     return out
-
-
-def dual_graph(embedding: Embedding, graph: LevelGraph) -> LevelGraph:
-    """One dual vertex per face, one dual edge per primal edge joining the
-    faces on its two sides (a loop when both sides see the same face)."""
-    face_of: dict = {}
-    for i, face in enumerate(embedding.faces):
-        for d in face:
-            face_of[d] = i
-    names = tuple(f"f{i}" for i in range(len(embedding.faces)))
-    edges = []
-    for idx, (label, _) in enumerate(graph.edges):
-        a = face_of[(idx, 0)]
-        b = face_of[(idx, 1)]
-        u, v = sorted((names[a], names[b]))
-        edges.append((label, (u, v)))
-    return LevelGraph(vertices=names, edges=tuple(sorted(edges)))
-
-
-# --------------------------------------------------------------------------
-# multigraph isomorphism (small instances, backtracking)
-# --------------------------------------------------------------------------
-
-
-def _edge_multiset(graph: LevelGraph, mapping: dict):
-    return sorted(
-        tuple(sorted((mapping[u], mapping[v]))) for _, (u, v) in graph.edges
-    )
-
-
-def multigraphs_isomorphic(a: LevelGraph, b: LevelGraph) -> bool:
-    """Vertex bijection preserving edge multiplicities and loops."""
-    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
-        return False
-
-    def signature(g: LevelGraph, v: str):
-        loops = sum(1 for _, (x, y) in g.edges if x == y == v)
-        return (g.degree(v), loops)
-
-    sig_a = {v: signature(a, v) for v in a.vertices}
-    sig_b = {v: signature(b, v) for v in b.vertices}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return False
-
-    b_edges = sorted(tuple(sorted(pair)) for _, pair in b.edges)
-    avs = sorted(a.vertices, key=lambda v: (sig_a[v], v))
-
-    def backtrack(i: int, mapping: dict, used: set) -> bool:
-        if i == len(avs):
-            return _edge_multiset(a, mapping) == b_edges
-        v = avs[i]
-        for w in b.vertices:
-            if w in used or sig_b[w] != sig_a[v]:
-                continue
-            mapping[v] = w
-            if backtrack(i + 1, mapping, used | {w}):
-                return True
-            del mapping[v]
-        return False
-
-    return backtrack(0, {}, set())
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +267,7 @@ class GradientVerdict:
     genus: int | None
     max_genus_searched: int
     embedding: Embedding | None
-    dual: LevelGraph | None
+    face_attractors: tuple[str, ...] | None  # the attractor of face i
 
     def to_dict(self) -> dict:
         out = {
@@ -355,34 +276,55 @@ class GradientVerdict:
             "max_genus_searched": self.max_genus_searched,
         }
         if self.embedding is not None:
-            out["rotation_system"] = self.embedding.rotation.to_dict()
+            out["rotation_system"] = {
+                v: [list(d) for d in darts]
+                for v, darts in sorted(self.embedding.rotation.items())
+            }
             out["faces"] = [[list(d) for d in f] for f in self.embedding.faces]
-        if self.dual is not None:
-            out["dual"] = self.dual.to_dict()
+        if self.face_attractors is not None:
+            out["face_attractors"] = list(self.face_attractors)
         return out
 
 
 def check_gradient_like(order: FiniteOrder, max_genus: int | None = None) -> GradientVerdict:
-    """Search cellular embeddings of the highest-level graph whose dual is
-    the lowest-level graph; first witness wins, else exhaustion up to the
-    genus bound."""
+    """Search cellular embeddings of the highest-level graph whose labelled
+    dual is the lowest-level graph; first witness wins, else exhaustion up to
+    the genus bound.
+
+    The dual edge across saddle s is s's unstable manifold, so it must join
+    s's own attractors.  The signature of a face is the sorted tuple of the
+    saddles on its walk, that of an attractor the sorted tuple of its
+    saddles in the lowest-level graph, a loop counting twice on both sides.
+    An embedding is a witness exactly when the two sorted lists of
+    signatures are equal: pairing them maps every face to an attractor, and
+    each saddle's two sides (or its one side, twice) to its own attractors.
+    """
     highest, lowest = level_graphs(order)
     if max_genus is None:
         max_genus = len(highest.edges)
+    around: dict = {a: [] for a in lowest.vertices}
+    for label, (u, v) in lowest.edges:
+        around[u].append(label)
+        around[v].append(label)
+    attractors = sorted(lowest.vertices, key=lambda a: sorted(around[a]))
+    wanted = [sorted(around[a]) for a in attractors]
+    labels = [label for label, _ in highest.edges]
     for emb in enumerate_embeddings(highest, max_genus):
-        dual = dual_graph(emb, highest)
-        if multigraphs_isomorphic(dual, lowest):
+        signatures = [sorted(labels[e] for e, _ in face) for face in emb.faces]
+        by_signature = sorted(range(len(signatures)), key=signatures.__getitem__)
+        if [signatures[i] for i in by_signature] == wanted:
+            attractor_of = dict(zip(by_signature, attractors))
             return GradientVerdict(
                 realizable=True,
                 genus=emb.genus,
                 max_genus_searched=max_genus,
                 embedding=emb,
-                dual=dual,
+                face_attractors=tuple(attractor_of[i] for i in range(len(signatures))),
             )
     return GradientVerdict(
         realizable=False,
         genus=None,
         max_genus_searched=max_genus,
         embedding=None,
-        dual=None,
+        face_attractors=None,
     )

@@ -41,7 +41,7 @@ from .domains import (
     check_constructible,
     repair_profile,
 )
-from .errors import ConnectivityFailure, PreconditionViolated
+from .errors import ConnectivityFailure, MalformedCertificate, PreconditionViolated
 from .order import FiniteOrder, check_connectivity, classify, load_order
 
 
@@ -226,54 +226,94 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
     return problems + _invariant_problems(cert, _core(order))
 
 
+_KIND_NAMES = {dict: "an object", list: "an array"}
+
+
+def _field(doc: dict, key: str, kind: type | None = None, path: str = ""):
+    """doc[key], which must exist and, given a kind, be a JSON object (dict)
+    or array (list); otherwise MalformedCertificate names the JSON path."""
+    where = f"{path}.{key}" if path else key
+    if key not in doc:
+        raise MalformedCertificate(f"{where}: missing")
+    return _of_kind(doc[key], kind, where)
+
+
+def _of_kind(value, kind: type | None, where: str):
+    if kind is not None and not isinstance(value, kind):
+        raise MalformedCertificate(f"{where}: expected {_KIND_NAMES[kind]}")
+    return value
+
+
+def _items(doc: dict, key: str, kind: type, path: str = "") -> list:
+    """The array doc[key], every item of which must be of the given kind."""
+    where = f"{path}.{key}" if path else key
+    return [
+        _of_kind(item, kind, f"{where}[{i}]")
+        for i, item in enumerate(_field(doc, key, list, path))
+    ]
+
+
 def certificate_from_dict(data: dict) -> RealizationCertificate:
-    """Rebuild a certificate from its serialized form."""
+    """Rebuild a certificate from its serialized form.  A key that is
+    missing or holds the wrong container raises ``MalformedCertificate``."""
     from .domains import Recipe, RecipeKind, RepairOp, RepairStep
     from .assemble import ComponentSummary
     from .order import RoleMap, Role
 
+    _of_kind(data, dict, "top level")
+    order_doc = _field(data, "order", dict)
     order = load_order(
-        {"elements": data["order"]["elements"], "relations": data["order"]["relations"]}
+        {
+            "elements": _field(order_doc, "elements", path="order"),
+            "relations": _field(order_doc, "relations", path="order"),
+        }
     )
     roles = RoleMap(
-        roles={e: Role(v) for e, v in data["roles"].items()},
-        generations={e: int(g) for e, g in data["generations"].items()},
+        roles={e: Role(v) for e, v in _field(data, "roles", dict).items()},
+        generations={e: int(g) for e, g in _field(data, "generations", dict).items()},
     )
-    assignment = CycleAssignment.from_dict(data["cycles"])
+    assignment = CycleAssignment.from_dict(_field(data, "cycles", dict))
     gluing = BandGluing(
-        pairs=tuple(sorted((tuple(a), tuple(b)) for a, b in data["gluing"]))
+        pairs=tuple(sorted((tuple(a), tuple(b)) for a, b in _items(data, "gluing", list)))
     )
+    boundary_docs = _field(data, "boundary_cycles", dict)
     boundary = {
         s: tuple(
             BoundaryCycle(saddle=s, sequence=tuple(tuple(k) for k in seq))
-            for seq in seqs
+            for seq in _items(boundary_docs, s, list, "boundary_cycles")
         )
-        for s, seqs in data["boundary_cycles"].items()
+        for s in boundary_docs
     }
     domains = {}
-    for s, d in data["domains"].items():
+    for s, d in _field(data, "domains", dict).items():
+        where = f"domains.{s}"
+        recipe_doc = _field(_of_kind(d, dict, where), "recipe", dict, where)
+        at = f"{where}.recipe"
         recipe = Recipe(
-            kind=RecipeKind(d["recipe"]["kind"]),
-            prongs=tuple(d["recipe"]["prongs"]),
-            saddle_openings=d["recipe"]["saddle_openings"],
+            kind=RecipeKind(_field(recipe_doc, "kind", path=at)),
+            prongs=tuple(_field(recipe_doc, "prongs", list, at)),
+            saddle_openings=_field(recipe_doc, "saddle_openings", path=at),
         )
         domains[s] = DomainSpec(
-            profile=LengthProfile(tuple(d["profile"])), genus=d["genus"], recipe=recipe
+            profile=LengthProfile(tuple(_field(d, "profile", list, where))),
+            genus=_field(d, "genus", path=where),
+            recipe=recipe,
         )
-    repairs = {
-        s: RepairLog(
-            steps=tuple(
+    repairs = {}
+    repair_docs = _field(data, "repairs", dict)
+    for s in repair_docs:
+        steps = []
+        for i, step in enumerate(_items(repair_docs, s, dict, "repairs")):
+            where = f"repairs.{s}[{i}]"
+            steps.append(
                 RepairStep(
-                    op=RepairOp(step["op"]),
-                    before=tuple(step["before"]),
-                    after=tuple(step["after"]),
+                    op=RepairOp(_field(step, "op", path=where)),
+                    before=tuple(_field(step, "before", list, where)),
+                    after=tuple(_field(step, "after", list, where)),
                 )
-                for step in steps
             )
-        )
-        for s, steps in data["repairs"].items()
-        if steps
-    }
+        if steps:
+            repairs[s] = RepairLog(steps=tuple(steps))
     return RealizationCertificate(
         order=order,
         roles=roles,
@@ -282,20 +322,22 @@ def certificate_from_dict(data: dict) -> RealizationCertificate:
         boundary=boundary,
         domains=domains,
         repairs=repairs,
-        north_south=tuple(tuple(p) for p in data["north_south"]),
-        handle_pairs=tuple(tuple(p) for p in data["handles"]),
-        vertex_count=data["vertex_count"],
-        edge_count=data["edge_count"],
-        handle_count=data["handle_count"],
-        repair_extra_pairs=data["repair_extra_pairs"],
-        chi=data["chi"],
-        connected=data["connected"],
-        genus=data["genus"],
+        north_south=tuple(tuple(p) for p in _items(data, "north_south", list)),
+        handle_pairs=tuple(tuple(p) for p in _items(data, "handles", list)),
+        vertex_count=_field(data, "vertex_count"),
+        edge_count=_field(data, "edge_count"),
+        handle_count=_field(data, "handle_count"),
+        repair_extra_pairs=_field(data, "repair_extra_pairs"),
+        chi=_field(data, "chi"),
+        connected=_field(data, "connected"),
+        genus=_field(data, "genus"),
         components=tuple(
             ComponentSummary(
-                elements=tuple(c["elements"]), chi=c["chi"], genus=c["genus"]
+                elements=tuple(_field(c, "elements", list, f"components[{i}]")),
+                chi=_field(c, "chi", path=f"components[{i}]"),
+                genus=_field(c, "genus", path=f"components[{i}]"),
             )
-            for c in data["components"]
+            for i, c in enumerate(_items(data, "components", dict))
         ),
-        notes=tuple(data["notes"]),
+        notes=tuple(_field(data, "notes", list)),
     )

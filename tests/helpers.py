@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from smale_orders.census import iter_orders
 from smale_orders.errors import CycleInRelation, IsolatedElement
-from smale_orders.gradient import Embedding, LevelGraph, RotationSystem, _trace_faces
+from smale_orders.gradient import Embedding, LevelGraph, _trace_faces
 from smale_orders.order import FiniteOrder, Role, check_connectivity
 
 
@@ -306,13 +306,13 @@ def dual_map(embedding: Embedding, graph: LevelGraph) -> Embedding:
     e_count = len(graph.edges)
     f_count = len(faces) if e_count else 1
     genus = (2 - (v_count - e_count + f_count)) // 2
-    return Embedding(rotation=RotationSystem(rotation=rotation), faces=faces or ((),), genus=genus)
+    return Embedding(rotation=rotation, faces=faces or ((),), genus=genus)
 
 
 def graph_of_map(embedding: Embedding, graph: LevelGraph) -> LevelGraph:
     """Underlying multigraph of a combinatorial map (edge labels kept)."""
     vertex_of: dict = {}
-    for v, darts in embedding.rotation.rotation.items():
+    for v, darts in embedding.rotation.items():
         for d in darts:
             vertex_of[d] = v
     edges = []
@@ -321,5 +321,54 @@ def graph_of_map(embedding: Embedding, graph: LevelGraph) -> LevelGraph:
         v = vertex_of[(idx, 1)]
         a, b = sorted((u, v))
         edges.append((label, (a, b)))
-    vertices = tuple(sorted(embedding.rotation.rotation))
+    vertices = tuple(sorted(embedding.rotation))
     return LevelGraph(vertices=vertices, edges=tuple(sorted(edges)))
+
+
+def renamed(graph: LevelGraph, names: dict) -> LevelGraph:
+    """The same multigraph with every vertex v renamed names[v]."""
+    edges = tuple(
+        sorted((label, tuple(sorted((names[u], names[v])))) for label, (u, v) in graph.edges)
+    )
+    return LevelGraph(vertices=tuple(sorted(names[v] for v in graph.vertices)), edges=edges)
+
+
+# ---------------------------------------------------------------------------
+# multigraph isomorphism (small instances, backtracking)
+# ---------------------------------------------------------------------------
+
+
+def multigraphs_isomorphic(a: LevelGraph, b: LevelGraph) -> bool:
+    """Vertex bijection preserving edge multiplicities and loops; edge
+    labels are ignored."""
+    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
+        return False
+
+    def signature(g: LevelGraph, v: str):
+        degree = sum(pair.count(v) for _, pair in g.edges)
+        loops = sum(1 for _, (x, y) in g.edges if x == y == v)
+        return (degree, loops)
+
+    sig_a = {v: signature(a, v) for v in a.vertices}
+    sig_b = {v: signature(b, v) for v in b.vertices}
+    if sorted(sig_a.values()) != sorted(sig_b.values()):
+        return False
+
+    b_edges = sorted(tuple(sorted(pair)) for _, pair in b.edges)
+    avs = sorted(a.vertices, key=lambda v: (sig_a[v], v))
+
+    def backtrack(i: int, mapping: dict, used: set) -> bool:
+        if i == len(avs):
+            mapped = (tuple(sorted((mapping[u], mapping[v]))) for _, (u, v) in a.edges)
+            return sorted(mapped) == b_edges
+        v = avs[i]
+        for w in b.vertices:
+            if w in used or sig_b[w] != sig_a[v]:
+                continue
+            mapping[v] = w
+            if backtrack(i + 1, mapping, used | {w}):
+                return True
+            del mapping[v]
+        return False
+
+    return backtrack(0, {}, set())

@@ -39,7 +39,6 @@ from smale_orders.gradient import (
     check_necessary,
     enumerate_embeddings,
     level_graphs,
-    multigraphs_isomorphic,
 )
 from smale_orders.order import load_order
 from smale_orders.pipeline import realize, verify_certificate
@@ -48,6 +47,7 @@ from helpers import (
     dual_map,
     enumerate_type_matchings,
     graph_of_map,
+    multigraphs_isomorphic,
     oracle_axiom_counts,
     usable_orders,
     walk_boundaries,

@@ -194,6 +194,26 @@ def test_verify_cert_empty_boundary_cycle_is_a_refusal(corpus_dir, tmp_path):
     assert "s1: cycle does not close on its first band" in problems
 
 
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda cert: [], "top level"),
+        (lambda cert: {"order": 5}, "order"),
+        (lambda cert: {}, "order"),
+        (lambda cert: {**cert, "roles": 5}, "roles"),
+    ],
+    ids=["array", "order-5", "empty", "roles-5"],
+)
+def test_malformed_certificates_are_input_errors(corpus_dir, tmp_path, edit, path):
+    cert_path = tmp_path / "cert.json"
+    run_cli("realize", str(corpus_dir / "example1.json"), "-o", str(cert_path))
+    cert_path.write_text(json.dumps(edit(json.loads(cert_path.read_text()))))
+    proc = run_module("verify-cert", str(cert_path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: unreadable certificate: {path}: ")
+
+
 def test_outputs_byte_deterministic(corpus_dir, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
@@ -230,6 +250,11 @@ def test_export_dot_writes_deterministic_files(corpus_dir, tmp_path):
     ]
     bands = (outdir / "example1-bands.dot").read_text()
     assert bands.count(" -- ") == 2  # one edge per glued pair
+    # the witness's one face is dual to w, so the labelled dual is the lowest graph
+    assert "face 0 (w): " in (outdir / "example1-embedding.dot").read_text()
+    lowest = (outdir / "example1-level-lowest.dot").read_text()
+    dual = (outdir / "example1-embedding-dual.dot").read_text()
+    assert dual == lowest.replace("graph lowest {", "graph dual {")
     run2 = tmp_path / "dots2"
     run_cli(
         "export-dot",
@@ -266,6 +291,7 @@ def test_missing_command_is_usage_error(capsys):
         (["-h"], 0),
         (["realize", "-h"], 0),
         (["--version"], 0),
+        (["realize", "x.json", "-v"], 1),
     ],
 )
 def test_usage_errors_exit_one(argv, code, capsys):

@@ -7,7 +7,6 @@ from smale_orders.domains import (
     RepairOp,
     Verdict,
     check_constructible,
-    domain_genus,
     repair_profile,
 )
 from smale_orders.errors import NonIntegralGenus
@@ -76,7 +75,6 @@ def test_all_fours_is_genus_one(k):
     assert spec.genus == 1
     assert spec.recipe.prongs == ()
     assert spec.recipe.saddle_openings == k
-    assert domain_genus(spec) == 1
 
 
 @given(PROFILES)

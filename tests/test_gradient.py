@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from smale_orders.census import iter_orders
 from smale_orders.corpus import (
     FIG_LEFT,
     FIG_MIDDLE,
@@ -16,11 +17,10 @@ from smale_orders.gradient import (
     check_necessary,
     enumerate_embeddings,
     level_graphs,
-    multigraphs_isomorphic,
 )
 from smale_orders.order import load_order
 
-from helpers import dual_map, graph_of_map, usable_orders
+from helpers import dual_map, graph_of_map, multigraphs_isomorphic, renamed, usable_orders
 
 CHAIN3 = load_order({"elements": ["A", "s", "w"], "relations": [["A", "s"], ["s", "w"]]})
 TWO_REPELLERS = load_order(
@@ -170,10 +170,55 @@ def test_genus_bound_filters():
 # ------------------------------------------------------------------ verdicts
 
 
+def labelled_dual(verdict, highest: LevelGraph) -> LevelGraph:
+    """The dual of the witness, each face renamed by its attractor."""
+    dual = graph_of_map(dual_map(verdict.embedding, highest), highest)
+    return renamed(dual, {f"f{i}": a for i, a in enumerate(verdict.face_attractors)})
+
+
 def test_diamond_realizable_on_the_torus():
     verdict = check_gradient_like(diamond_order())
     assert verdict.realizable and verdict.genus == 1
-    assert multigraphs_isomorphic(verdict.dual, level_graphs(diamond_order())[1])
+    highest, lowest = level_graphs(diamond_order())
+    assert verdict.face_attractors == ("w",)
+    assert labelled_dual(verdict, highest) == lowest
+
+
+def test_unlabelled_dual_witness_is_refused():
+    # planar embeddings of the top graph have an unlabelled copy of the
+    # bottom graph as dual, but the dual loop is e3's, where e2 must loop
+    order = load_order(
+        {
+            "elements": ["e0", "e1", "e2", "e3", "e4", "e5"],
+            "relations": [
+                ["e2", "e0"], ["e3", "e0"], ["e3", "e1"], ["e4", "e3"], ["e5", "e2"],
+                ["e5", "e3"],
+            ],
+        }
+    )
+    highest, lowest = level_graphs(order)
+    assert any(
+        multigraphs_isomorphic(graph_of_map(dual_map(emb, highest), highest), lowest)
+        for emb in enumerate_embeddings(highest)
+    )
+    verdict = check_gradient_like(order)
+    assert not verdict.realizable
+    assert verdict.face_attractors is None and "face_attractors" not in verdict.to_dict()
+
+
+def test_every_small_witness_has_the_lowest_graph_as_labelled_dual():
+    witnesses = 0
+    for n in range(2, 7):
+        for order in iter_orders(n):
+            try:
+                highest, lowest = level_graphs(order)
+                verdict = check_gradient_like(order)
+            except (NotGradientShape, DisconnectedGraph):
+                continue
+            if verdict.realizable:
+                witnesses += 1
+                assert labelled_dual(verdict, highest) == lowest
+    assert witnesses == 83
 
 
 def test_three_chain_not_realizable_at_any_genus():

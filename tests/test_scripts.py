@@ -36,12 +36,23 @@ first-witness genus histogram:
   genus   1: 1
 """
 
+GRADIENT_6 = """\
+gradient-shaped connected orders           457
+  realizable by a gradient-like map         83
+  skipped (more than 4 saddles)              0
+first-witness genus histogram:
+  genus   0: 47
+  genus   1: 35
+  genus   2: 1
+"""
+
 
 @pytest.mark.parametrize(
     "script, args, expected",
     [
         ("sweep_small_orders.py", ["--max-size", "4", "--verify"], SWEEP_4),
         ("gradient_census.py", ["--max-size", "4"], GRADIENT_4),
+        ("gradient_census.py", ["--max-size", "6"], GRADIENT_6),
     ],
 )
 def test_script_counts(script, args, expected):
