@@ -24,7 +24,8 @@ def main(argv=None) -> int:
         "--max-saddles",
         type=int,
         default=4,
-        help="skip orders with more saddles (embedding counts grow factorially)",
+        help="skip orders with more saddles (an order whose R - S + A is even is"
+        " searched over rotation systems, whose count grows factorially)",
     )
     args = parser.parse_args(argv)
 

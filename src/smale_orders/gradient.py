@@ -15,6 +15,12 @@ embed cellularly in some closed oriented surface so that its labelled dual is
 the graph of attractors joined by saddles, the dual edge across each saddle
 joining that saddle's own attractors.  Rotation systems enumerate those
 embeddings exhaustively; a witness names the attractor of each face.
+
+A witness has one face per attractor (F = A), so its Euler characteristic is
+forced to chi = R - S + A and its genus to (2 - chi) / 2.  The decision
+refuses an odd chi, or a genus above the bound, without searching; otherwise
+it walks the rotation systems lazily, skips those with another face count
+and stops at the first witness.
 """
 
 from __future__ import annotations
@@ -23,7 +29,14 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, NotGradientShape
-from .order import FiniteOrder, Role, _linked_components, check_connectivity, classify
+from .order import (
+    FiniteOrder,
+    Role,
+    _flags,
+    _linked_components,
+    check_connectivity,
+    classify,
+)
 
 
 @dataclass(frozen=True)
@@ -130,18 +143,29 @@ class LevelGraph:
 
 
 def level_graphs(order: FiniteOrder) -> tuple[LevelGraph, LevelGraph]:
-    """The graphs of the two highest and two lowest levels."""
-    roles = classify(order)
-    maxes = set(order.maximal_elements)
-    mins = set(order.minimal_elements)
+    """The graphs of the two highest and two lowest levels.
+
+    Read off the order's masks: a saddle is first generation on both sides
+    exactly when no saddle lies above or below it.
+    """
+    names = order.elements
+
+    def named(mask: int) -> list[str]:
+        return sorted(itertools.compress(names, _flags(mask)))
+
+    maxes = mins = 0
+    for i, (down, up) in enumerate(zip(order._down, order._up)):
+        if not up:
+            maxes |= 1 << i
+        if not down:
+            mins |= 1 << i
+    saddles = (1 << len(names)) - 1 & ~(maxes | mins)
     top_edges, bottom_edges = [], []
-    for s in roles.saddles():
-        if roles.generations[s] != 1 or any(
-            roles.roles[x] is Role.SADDLE for x in order.down_set(s)
-        ):
+    for s in named(saddles):
+        i = order._index[s]
+        if (order._up[i] | order._down[i]) & saddles:
             raise NotGradientShape(f"saddle {s} is not first generation on both sides")
-        ups = sorted(order.up_set(s) & maxes)
-        downs = sorted(order.down_set(s) & mins)
+        ups, downs = named(order._up[i] & maxes), named(order._down[i] & mins)
         if not 1 <= len(ups) <= 2 or not 1 <= len(downs) <= 2:
             raise NotGradientShape(
                 f"saddle {s} touches {len(ups)} maximal and {len(downs)} minimal"
@@ -149,12 +173,8 @@ def level_graphs(order: FiniteOrder) -> tuple[LevelGraph, LevelGraph]:
             )
         top_edges.append((s, (ups[0], ups[-1])))
         bottom_edges.append((s, (downs[0], downs[-1])))
-    highest = LevelGraph(
-        vertices=tuple(sorted(maxes)), edges=tuple(sorted(top_edges))
-    )
-    lowest = LevelGraph(
-        vertices=tuple(sorted(mins)), edges=tuple(sorted(bottom_edges))
-    )
+    highest = LevelGraph(vertices=tuple(named(maxes)), edges=tuple(top_edges))
+    lowest = LevelGraph(vertices=tuple(named(mins)), edges=tuple(bottom_edges))
     return highest, lowest
 
 
@@ -210,19 +230,14 @@ def _trace_faces(rotation: dict):
     return tuple(faces)
 
 
-def enumerate_embeddings(graph: LevelGraph, max_genus: int | None = None):
-    """All rotation systems of the graph with genus at most the bound.
-
-    The count of rotation systems is the product over vertices of
-    (degree - 1)! and each one determines a cellular embedding in a closed
-    oriented surface whose faces come from the standard tracing rule.
-    Deterministic lexicographic order.  A vertex without edges contributes
-    one face (point on a sphere).
-    """
+def _require_connected(graph: LevelGraph) -> None:
     if len(_linked_components(graph.vertices, graph.endpoint_pairs())) > 1:
         raise DisconnectedGraph(f"level graph on {graph.vertices} is disconnected")
-    if max_genus is None:
-        max_genus = len(graph.edges)
+
+
+def _embeddings(graph: LevelGraph, max_genus: int):
+    """The embeddings of a connected graph with genus at most the bound, one
+    rotation system at a time, in the order of ``enumerate_embeddings``."""
     darts_at = _darts_at(graph)
     vertices = list(graph.vertices)
     choices = []
@@ -232,7 +247,6 @@ def enumerate_embeddings(graph: LevelGraph, max_genus: int | None = None):
             choices.append([ds])
         else:
             choices.append([(ds[0],) + rest for rest in itertools.permutations(ds[1:])])
-    out = []
     v_count = len(vertices)
     e_count = len(graph.edges)
     for combo in itertools.product(*choices):
@@ -246,14 +260,26 @@ def enumerate_embeddings(graph: LevelGraph, max_genus: int | None = None):
         if genus < 0:
             raise AssertionError(f"negative genus from rotation system {rotation}")
         if genus <= max_genus:
-            out.append(
-                Embedding(
-                    rotation=rotation,
-                    faces=faces if e_count else ((),),
-                    genus=genus,
-                )
+            yield Embedding(
+                rotation=rotation,
+                faces=faces if e_count else ((),),
+                genus=genus,
             )
-    return out
+
+
+def enumerate_embeddings(graph: LevelGraph, max_genus: int | None = None):
+    """All rotation systems of the graph with genus at most the bound.
+
+    The count of rotation systems is the product over vertices of
+    (degree - 1)! and each one determines a cellular embedding in a closed
+    oriented surface whose faces come from the standard tracing rule.
+    Deterministic lexicographic order.  A vertex without edges contributes
+    one face (point on a sphere).
+    """
+    _require_connected(graph)
+    if max_genus is None:
+        max_genus = len(graph.edges)
+    return list(_embeddings(graph, max_genus))
 
 
 # --------------------------------------------------------------------------
@@ -298,10 +324,32 @@ def check_gradient_like(order: FiniteOrder, max_genus: int | None = None) -> Gra
     An embedding is a witness exactly when the two sorted lists of
     signatures are equal: pairing them maps every face to an attractor, and
     each saddle's two sides (or its one side, twice) to its own attractors.
+
+    A witness therefore has one face per attractor, F = A, which fixes its
+    Euler characteristic at chi = R - S + A (repellers, saddles,
+    attractors) and its genus at (2 - chi) / 2 before any search.  An odd
+    chi, or a genus above the bound, is refused at once; otherwise the
+    rotation systems are walked lazily in the order of
+    ``enumerate_embeddings``, a system with another face count is skipped
+    before any signature is built, and the search stops at the first
+    witness.  A disconnected highest-level graph raises ``DisconnectedGraph``
+    first.
     """
     highest, lowest = level_graphs(order)
+    _require_connected(highest)
     if max_genus is None:
         max_genus = len(highest.edges)
+    refused = GradientVerdict(
+        realizable=False,
+        genus=None,
+        max_genus_searched=max_genus,
+        embedding=None,
+        face_attractors=None,
+    )
+    face_count = len(lowest.vertices)
+    chi = len(highest.vertices) - len(highest.edges) + face_count
+    if chi % 2 or (2 - chi) // 2 > max_genus:
+        return refused
     around: dict = {a: [] for a in lowest.vertices}
     for label, (u, v) in lowest.edges:
         around[u].append(label)
@@ -309,7 +357,9 @@ def check_gradient_like(order: FiniteOrder, max_genus: int | None = None) -> Gra
     attractors = sorted(lowest.vertices, key=lambda a: sorted(around[a]))
     wanted = [sorted(around[a]) for a in attractors]
     labels = [label for label, _ in highest.edges]
-    for emb in enumerate_embeddings(highest, max_genus):
+    for emb in _embeddings(highest, max_genus):
+        if emb.face_count != face_count:
+            continue
         signatures = [sorted(labels[e] for e, _ in face) for face in emb.faces]
         by_signature = sorted(range(len(signatures)), key=signatures.__getitem__)
         if [signatures[i] for i in by_signature] == wanted:
@@ -321,10 +371,4 @@ def check_gradient_like(order: FiniteOrder, max_genus: int | None = None) -> Gra
                 embedding=emb,
                 face_attractors=tuple(attractor_of[i] for i in range(len(signatures))),
             )
-    return GradientVerdict(
-        realizable=False,
-        genus=None,
-        max_genus_searched=max_genus,
-        embedding=None,
-        face_attractors=None,
-    )
+    return refused

@@ -223,7 +223,15 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
         problems.append("component characteristics do not sum to chi")
     if cert.connected != (len(cert.components) <= 1):
         problems.append("connected flag contradicts the component list")
-    return problems + _invariant_problems(cert, _core(order))
+    core = _core(order)
+    strays = sorted(set(cert.assignment.owners()) - set(core.elements))
+    if strays:
+        # the invariants look up each owner in the core order; an owner in it
+        # that is not extremal is reported there
+        return problems + [
+            f"cycle owners {', '.join(strays)} are not elements of the core order"
+        ]
+    return problems + _invariant_problems(cert, core)
 
 
 _KIND_NAMES = {dict: "an object", list: "an array"}
@@ -253,6 +261,19 @@ def _items(doc: dict, key: str, kind: type, path: str = "") -> list:
     ]
 
 
+def _integer(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedCertificate(f"{where}: expected an integer")
+    return value
+
+
+def _band_key(value, where: str) -> tuple[str, int]:
+    """A band key, stored as an [owner, index] array."""
+    if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)):
+        raise MalformedCertificate(f"{where}: expected an [owner, index] array")
+    return value[0], _integer(value[1], f"{where}[1]")
+
+
 def certificate_from_dict(data: dict) -> RealizationCertificate:
     """Rebuild a certificate from its serialized form.  A key that is
     missing or holds the wrong container raises ``MalformedCertificate``."""
@@ -270,17 +291,28 @@ def certificate_from_dict(data: dict) -> RealizationCertificate:
     )
     roles = RoleMap(
         roles={e: Role(v) for e, v in _field(data, "roles", dict).items()},
-        generations={e: int(g) for e, g in _field(data, "generations", dict).items()},
+        generations={
+            e: _integer(g, f"generations.{e}")
+            for e, g in _field(data, "generations", dict).items()
+        },
     )
     assignment = CycleAssignment.from_dict(_field(data, "cycles", dict))
-    gluing = BandGluing(
-        pairs=tuple(sorted((tuple(a), tuple(b)) for a, b in _items(data, "gluing", list)))
-    )
+    pairs = []
+    for i, pair in enumerate(_items(data, "gluing", list)):
+        if len(pair) != 2:
+            raise MalformedCertificate(f"gluing[{i}]: expected a pair of band keys")
+        pairs.append(tuple(_band_key(k, f"gluing[{i}][{j}]") for j, k in enumerate(pair)))
+    gluing = BandGluing(pairs=tuple(sorted(pairs)))
     boundary_docs = _field(data, "boundary_cycles", dict)
     boundary = {
         s: tuple(
-            BoundaryCycle(saddle=s, sequence=tuple(tuple(k) for k in seq))
-            for seq in _items(boundary_docs, s, list, "boundary_cycles")
+            BoundaryCycle(
+                saddle=s,
+                sequence=tuple(
+                    _band_key(k, f"boundary_cycles.{s}[{i}][{j}]") for j, k in enumerate(seq)
+                ),
+            )
+            for i, seq in enumerate(_items(boundary_docs, s, list, "boundary_cycles"))
         )
         for s in boundary_docs
     }

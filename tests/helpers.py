@@ -11,9 +11,15 @@ import itertools
 from functools import lru_cache
 
 from smale_orders.census import iter_orders
-from smale_orders.errors import CycleInRelation, IsolatedElement
-from smale_orders.gradient import Embedding, LevelGraph, _trace_faces
-from smale_orders.order import FiniteOrder, Role, check_connectivity
+from smale_orders.errors import CycleInRelation, IsolatedElement, NotGradientShape
+from smale_orders.gradient import (
+    Embedding,
+    GradientVerdict,
+    LevelGraph,
+    _trace_faces,
+    enumerate_embeddings,
+)
+from smale_orders.order import FiniteOrder, Role, check_connectivity, classify
 
 
 @lru_cache(maxsize=None)
@@ -288,6 +294,63 @@ def oracle_axiom_counts(assignment, order, cycles) -> bool:
             if c != expected:
                 return False
     return total_len == sum(len(assignment.cycle(o)) for o in assignment.owners())
+
+
+# ---------------------------------------------------------------------------
+# gradient-like decision, the exhaustive way
+# ---------------------------------------------------------------------------
+
+
+def reference_level_graphs(order: FiniteOrder) -> tuple[LevelGraph, LevelGraph]:
+    """The level graphs from roles, generations and name sets."""
+    roles = classify(order)
+    maxes = set(order.maximal_elements)
+    mins = set(order.minimal_elements)
+    top_edges, bottom_edges = [], []
+    for s in roles.saddles():
+        if roles.generations[s] != 1 or any(
+            roles.roles[x] is Role.SADDLE for x in order.down_set(s)
+        ):
+            raise NotGradientShape(f"saddle {s} is not first generation on both sides")
+        ups = sorted(order.up_set(s) & maxes)
+        downs = sorted(order.down_set(s) & mins)
+        if not 1 <= len(ups) <= 2 or not 1 <= len(downs) <= 2:
+            raise NotGradientShape(
+                f"saddle {s} touches {len(ups)} maximal and {len(downs)} minimal"
+                " elements; gradient-like saddles allow at most two per side"
+            )
+        top_edges.append((s, (ups[0], ups[-1])))
+        bottom_edges.append((s, (downs[0], downs[-1])))
+    return (
+        LevelGraph(vertices=tuple(sorted(maxes)), edges=tuple(sorted(top_edges))),
+        LevelGraph(vertices=tuple(sorted(mins)), edges=tuple(sorted(bottom_edges))),
+    )
+
+
+def reference_gradient_verdict(order: FiniteOrder, max_genus: int | None = None) -> dict:
+    """The verdict as a dict, from the full list of embeddings up to the
+    genus bound, each matched by face and attractor signatures, first
+    match wins; no forced genus and no face-count filter."""
+    highest, lowest = reference_level_graphs(order)
+    if max_genus is None:
+        max_genus = len(highest.edges)
+    around: dict = {a: [] for a in lowest.vertices}
+    for label, (u, v) in lowest.edges:
+        around[u].append(label)
+        around[v].append(label)
+    attractors = sorted(lowest.vertices, key=lambda a: sorted(around[a]))
+    wanted = [sorted(around[a]) for a in attractors]
+    labels = [label for label, _ in highest.edges]
+    verdict = GradientVerdict(False, None, max_genus, None, None)
+    for emb in enumerate_embeddings(highest, max_genus):
+        signatures = [sorted(labels[e] for e, _ in face) for face in emb.faces]
+        by_signature = sorted(range(len(signatures)), key=signatures.__getitem__)
+        if [signatures[i] for i in by_signature] == wanted:
+            attractor_of = dict(zip(by_signature, attractors))
+            faces = tuple(attractor_of[i] for i in range(len(signatures)))
+            verdict = GradientVerdict(True, emb.genus, max_genus, emb, faces)
+            break
+    return verdict.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,20 @@ def test_verify_cert_empty_boundary_cycle_is_a_refusal(corpus_dir, tmp_path):
     assert "s1: cycle does not close on its first band" in problems
 
 
+def test_verify_cert_reports_cycles_of_an_owner_outside_the_core(corpus_dir, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run_cli("realize", str(corpus_dir / "example1.json"), "-o", str(cert_path))
+    doc = json.loads(cert_path.read_text())
+    # s1 becomes maximal, so s1 > w is a north-south pair and w leaves the core
+    doc["order"]["relations"].remove(["A", "s1"])
+    cert_path.write_text(json.dumps(doc))
+    proc = run_module("verify-cert", str(cert_path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    problems = json.loads(proc.stdout)["problems"]
+    assert "cycle owners w are not elements of the core order" in problems
+
+
 @pytest.mark.parametrize(
     "edit, path",
     [
@@ -201,8 +215,13 @@ def test_verify_cert_empty_boundary_cycle_is_a_refusal(corpus_dir, tmp_path):
         (lambda cert: {"order": 5}, "order"),
         (lambda cert: {}, "order"),
         (lambda cert: {**cert, "roles": 5}, "roles"),
+        (lambda cert: {**cert, "gluing": [[5, ["A", 0]]]}, "gluing[0][0]"),
+        (lambda cert: {**cert, "gluing": [[["A", "x"], ["A", 0]]]}, "gluing[0][0][1]"),
+        (lambda cert: {**cert, "boundary_cycles": {"s1": [["x"]]}}, "boundary_cycles.s1[0][0]"),
+        (lambda cert: {**cert, "generations": {"s1": []}}, "generations.s1"),
     ],
-    ids=["array", "order-5", "empty", "roles-5"],
+    ids=["array", "order-5", "empty", "roles-5", "band-key-5", "band-index-x",
+         "boundary-key-x", "generation-array"],
 )
 def test_malformed_certificates_are_input_errors(corpus_dir, tmp_path, edit, path):
     cert_path = tmp_path / "cert.json"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from smale_orders.corpus import (
     IMPOSSIBLE_ORDER,
     diamond_order,
 )
+from smale_orders import gradient
 from smale_orders.errors import DisconnectedGraph, NotGradientShape
 from smale_orders.gradient import (
     LevelGraph,
@@ -20,13 +22,29 @@ from smale_orders.gradient import (
 )
 from smale_orders.order import load_order
 
-from helpers import dual_map, graph_of_map, multigraphs_isomorphic, renamed, usable_orders
+from helpers import (
+    dual_map,
+    graph_of_map,
+    multigraphs_isomorphic,
+    reference_gradient_verdict,
+    reference_level_graphs,
+    renamed,
+    usable_orders,
+)
 
 CHAIN3 = load_order({"elements": ["A", "s", "w"], "relations": [["A", "s"], ["s", "w"]]})
 TWO_REPELLERS = load_order(
     {
         "elements": ["a", "b", "s", "w1", "w2"],
         "relations": [["a", "s"], ["b", "s"], ["s", "w1"], ["s", "w2"]],
+    }
+)
+# one repeller over six saddles, two attractors under every saddle
+SIX_LOOPS = load_order(
+    {
+        "elements": ["A", "w1", "w2"] + [f"s{i}" for i in range(6)],
+        "relations": [[x, y] for i in range(6) for x, y in
+                      (("A", f"s{i}"), (f"s{i}", "w1"), (f"s{i}", "w2"))],
     }
 )
 
@@ -219,6 +237,45 @@ def test_every_small_witness_has_the_lowest_graph_as_labelled_dual():
                 witnesses += 1
                 assert labelled_dual(verdict, highest) == lowest
     assert witnesses == 83
+
+
+def test_verdicts_match_the_exhaustive_reference():
+    for n in range(2, 7):
+        for order in iter_orders(n):
+            try:
+                graphs = reference_level_graphs(order)
+            except NotGradientShape as exc:
+                with pytest.raises(NotGradientShape, match=f"^{re.escape(str(exc))}$"):
+                    level_graphs(order)
+                continue
+            assert level_graphs(order) == graphs
+            try:
+                expected = [reference_gradient_verdict(order, g) for g in (None, 0, 1)]
+            except DisconnectedGraph:
+                with pytest.raises(DisconnectedGraph):
+                    check_gradient_like(order)
+                continue
+            assert [check_gradient_like(order, g).to_dict() for g in (None, 0, 1)] == expected
+
+
+def test_forced_genus_refusals_trace_no_face(monkeypatch):
+    def no_tracing(rotation):
+        raise AssertionError("a face was traced")
+
+    monkeypatch.setattr(gradient, "_trace_faces", no_tracing)
+    # R - S + A = 1 - 6 + 2 is odd; the search would walk 11! rotation systems
+    verdict = check_gradient_like(SIX_LOOPS)
+    assert not verdict.realizable and verdict.max_genus_searched == 6
+    # the diamond's forced genus is 1
+    verdict = check_gradient_like(diamond_order(), max_genus=0)
+    assert verdict.to_dict() == {"realizable": False, "genus": None, "max_genus_searched": 0}
+    # odd chi, but a disconnected highest-level graph is refused first
+    apart = load_order(
+        {"elements": ["a", "b", "s1", "s2", "w"],
+         "relations": [["a", "s1"], ["b", "s2"], ["s1", "w"], ["s2", "w"]]}
+    )
+    with pytest.raises(DisconnectedGraph):
+        check_gradient_like(apart)
 
 
 def test_three_chain_not_realizable_at_any_genus():

@@ -46,6 +46,16 @@ first-witness genus histogram:
   genus   2: 1
 """
 
+GRADIENT_7 = """\
+gradient-shaped connected orders          6257
+  realizable by a gradient-like map         83
+  skipped (more than 4 saddles)              1
+first-witness genus histogram:
+  genus   0: 47
+  genus   1: 35
+  genus   2: 1
+"""
+
 
 @pytest.mark.parametrize(
     "script, args, expected",
@@ -53,6 +63,7 @@ first-witness genus histogram:
         ("sweep_small_orders.py", ["--max-size", "4", "--verify"], SWEEP_4),
         ("gradient_census.py", ["--max-size", "4"], GRADIENT_4),
         ("gradient_census.py", ["--max-size", "6"], GRADIENT_6),
+        ("gradient_census.py", ["--max-size", "7"], GRADIENT_7),
     ],
 )
 def test_script_counts(script, args, expected):
