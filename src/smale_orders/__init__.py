@@ -40,7 +40,6 @@ from .domains import (
 from .assemble import (
     PlugPlan,
     RealizationCertificate,
-    add_saddle_handles,
     assemble,
     plan_plugs,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "Transition",
     "Verdict",
     "ViolationReport",
-    "add_saddle_handles",
     "admissible_transitions",
     "assemble",
     "balance_cycles",

@@ -6,11 +6,12 @@ and the saddle domains (faces carrying genus).  Hence
 
     chi = sum(2 - 2*genus_i - s_i) + V - E - 2*H
 
-over the saddle domains with s_i boundary circles, where H counts handles
-added later for saddle-saddle relations.  Domain repairs add glued pairs
-that the executed gluing does not carry, so the chi computation uses the
-edge count plus the repair surplus; the raw matched-pair count E is kept as
-its own field.
+over the saddle domains with s_i boundary circles, where H counts the
+handles added for saddle-saddle cover relations.  Domain repairs add glued
+pairs that the executed gluing does not carry, so the chi computation uses
+the edge count plus the repair surplus; the raw matched-pair count E is kept
+as its own field.  ``assemble`` is the one place this summary is derived,
+for ``realize`` and for ``verify_certificate`` alike.
 
 A cover pair joining a maximal directly to a minimal element is realized as
 a separate sphere with a north-south map; such pairs always form their own
@@ -20,7 +21,7 @@ components to the assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bands import BandGluing, BoundaryCycle
 from .cycles import CycleAssignment
@@ -95,7 +96,7 @@ class RealizationCertificate:
         }
 
 
-def _incidence_components(order, roles, assignment, north_south):
+def _incidence_components(order, assignment, north_south):
     """Connected pieces of the assembled surface.
 
     Nodes are extremal points and saddle domains; a saddle is tied to every
@@ -127,26 +128,45 @@ def assemble(
     gluing: BandGluing,
     boundary: dict,
     domains: dict,
-    repairs: dict | None = None,
+    repairs: dict,
 ) -> RealizationCertificate:
-    """Aggregate the pipeline stages into a certificate (no handles yet)."""
+    """Derive the whole certificate summary from the stage data.
+
+    Counts, handles, chi, genus, components and notes are computed here and
+    nowhere else; ``verify_certificate`` calls this again on a certificate's
+    stored stage data and compares the result field by field.
+
+    One handle is added per saddle-saddle cover pair (relations between
+    non-cover saddle pairs follow from transitivity), dropping chi by two.
+    It stands for an attracting perturbation at the greater saddle, a
+    repelling one at the lesser, and a regluing along the freed annulus that
+    makes their invariant manifolds cross.
+    """
     roles = classify(order)
-    repairs = {s: log for s, log in (repairs or {}).items() if log.steps}
+    repairs = {s: log for s, log in repairs.items() if log.steps}
     north_south = order.north_south_pairs
+    handle_pairs = tuple(
+        sorted(
+            (a, b)
+            for a, b in order.covers
+            if roles.roles[a] is Role.SADDLE and roles.roles[b] is Role.SADDLE
+        )
+    )
     vertex_count = len(roles.extremals())
     edge_count = len(gluing.pairs)
     extra = sum(log.extra_band_pairs for log in repairs.values())
-    chi = _chi_of(domains, repairs, vertex_count, edge_count, 0)
+    chi = _chi_of(domains, repairs, vertex_count, edge_count, len(handle_pairs))
 
-    comps = _incidence_components(order, roles, assignment, north_south)
+    comps = _incidence_components(order, assignment, north_south)
     summaries = []
     for comp in comps:
         comp_set = set(comp)
         v = sum(1 for e in comp if roles.roles[e] is not Role.SADDLE)
         e_cnt = sum(1 for a, b in gluing.pairs if a[0] in comp_set)
+        h = sum(1 for a, b in handle_pairs if a in comp_set)
         comp_domains = {s: domains[s] for s in domains if s in comp_set}
         comp_repairs = {s: repairs[s] for s in repairs if s in comp_set}
-        c = _chi_of(comp_domains, comp_repairs, v, e_cnt, 0)
+        c = _chi_of(comp_domains, comp_repairs, v, e_cnt, h)
         summaries.append(ComponentSummary(elements=comp, chi=c, genus=(2 - c) // 2))
     connected = len(comps) <= 1
 
@@ -166,6 +186,11 @@ def assemble(
             f"assembly is disconnected ({len(comps)} surface components);"
             " per-component characteristics listed"
         )
+    for a, b in handle_pairs:
+        notes.append(
+            f"handle for {a} > {b}: attracting perturbation at {a}, repelling"
+            f" at {b}, glued along the freed annulus"
+        )
 
     return RealizationCertificate(
         order=order,
@@ -176,76 +201,15 @@ def assemble(
         domains=domains,
         repairs=repairs,
         north_south=north_south,
-        handle_pairs=(),
+        handle_pairs=handle_pairs,
         vertex_count=vertex_count,
         edge_count=edge_count,
-        handle_count=0,
+        handle_count=len(handle_pairs),
         repair_extra_pairs=extra,
         chi=chi,
         connected=connected,
         genus=(2 - chi) // 2 if connected else None,
         components=tuple(summaries),
-        notes=tuple(notes),
-    )
-
-
-def saddle_handle_pairs(order: FiniteOrder) -> tuple:
-    """Cover pairs between two saddles; relations between non-cover saddle
-    pairs follow from transitivity of the realized order."""
-    roles = classify(order)
-    return tuple(
-        sorted(
-            (a, b)
-            for a, b in order.covers
-            if roles.roles[a] is Role.SADDLE and roles.roles[b] is Role.SADDLE
-        )
-    )
-
-
-def add_saddle_handles(
-    certificate: RealizationCertificate, order: FiniteOrder
-) -> RealizationCertificate:
-    """Add one handle per saddle-saddle cover pair, dropping chi by two each.
-
-    Each handle stands for an attracting perturbation at the greater saddle,
-    a repelling one at the lesser, and a regluing along the freed annulus
-    that makes their invariant manifolds cross.
-    """
-    pairs = saddle_handle_pairs(order)
-    if not pairs:
-        return certificate
-    h = len(pairs)
-    chi = certificate.chi - 2 * h
-    notes = list(certificate.notes)
-    for a, b in pairs:
-        notes.append(
-            f"handle for {a} > {b}: attracting perturbation at {a}, repelling"
-            f" at {b}, glued along the freed annulus"
-        )
-
-    comp_lookup = {}
-    for summary in certificate.components:
-        for e in summary.elements:
-            comp_lookup[e] = summary
-    handle_per_comp: dict = {}
-    for a, b in pairs:
-        handle_per_comp[comp_lookup[a]] = handle_per_comp.get(comp_lookup[a], 0) + 1
-    components = tuple(
-        ComponentSummary(
-            elements=s.elements,
-            chi=s.chi - 2 * handle_per_comp.get(s, 0),
-            genus=(2 - (s.chi - 2 * handle_per_comp.get(s, 0))) // 2,
-        )
-        for s in certificate.components
-    )
-
-    return replace(
-        certificate,
-        handle_pairs=pairs,
-        handle_count=h,
-        chi=chi,
-        genus=(2 - chi) // 2 if certificate.connected else None,
-        components=components,
         notes=tuple(notes),
     )
 

@@ -1,30 +1,28 @@
 """End-to-end realization pipeline and certificate re-verification.
 
-``realize`` runs connectivity -> cycles -> balancing -> band gluing ->
-profile repair -> domain selection -> assembly -> handles and returns a
-certificate.  ``verify_certificate`` recomputes every stage from the data
-stored in a certificate and reports any mismatch, so certificates can be
-re-checked after serialization by an independent process.
+``realize`` runs connectivity -> cycles -> balancing (external cycles
+only) -> band gluing -> profile repair -> domain selection -> assembly and
+returns a certificate.  ``verify_certificate`` recomputes the domains from
+the stored boundary cycles, re-assembles the certificate from its stored
+stage data with the same ``assemble`` and reports every field that differs,
+so certificates can be re-checked after serialization by an independent
+process.
 
 The stages validate their inputs and build; none re-checks its own output.
 The invariants every correct construction satisfies (cycle conditions, star
 balance, boundary-cycle axioms, 2E = band count, even chi at most 2) are
-checked in one place, ``_invariant_problems``: ``realize`` runs it once on
-the certificate it built and raises ``AssertionError`` on any problem, and
-``verify_certificate`` appends it to its stored-versus-recomputed
-comparisons.  ``_domain`` turns one saddle's boundary cycles into its domain
+checked in one place, ``_invariant_problems``, on a certificate that
+``assemble`` built: ``realize`` runs it once and raises ``AssertionError``
+on any problem, and ``verify_certificate`` runs it on the re-assembled
+certificate.  ``_domain`` turns one saddle's boundary cycles into its domain
 spec and repair log for both, and asserts that the repair worked.
 """
 
 from __future__ import annotations
 
-from .assemble import (
-    RealizationCertificate,
-    _chi_of,
-    add_saddle_handles,
-    assemble,
-    saddle_handle_pairs,
-)
+from dataclasses import fields
+
+from .assemble import RealizationCertificate, assemble
 from .bands import BandGluing, BoundaryCycle, boundary_profile, glue_bands, verify_boundary_cycles
 from .cycles import (
     CycleAssignment,
@@ -51,8 +49,9 @@ def realize(
     """Realize the order, or raise ConnectivityFailure naming the obstacle.
 
     An externally supplied cycle assignment must cover exactly the extremal
-    elements outside north-south pairs and satisfy the cycle conditions; by
-    default the doubled Euler-circuit cycles are built.
+    elements outside north-south pairs and satisfy the cycle conditions; it
+    is balanced before gluing.  By default the doubled Euler-circuit cycles
+    are built, which are balanced by construction.
     """
     report = check_connectivity(order)
     if not report.passed:
@@ -78,10 +77,10 @@ def realize(
                     f"assignment owners {sorted(assignment.owners())} do not"
                     f" match the extremal elements {sorted(expected)}"
                 )
-        balanced = balance_cycles(assignment, core)
-        gluing, boundary = glue_bands(balanced, core)
+            assignment = balance_cycles(assignment, core)
+        gluing, boundary = glue_bands(assignment, core)
     else:
-        balanced = CycleAssignment(cycles={})
+        assignment = CycleAssignment(cycles={})
         gluing = BandGluing(pairs=())
         boundary = {}
 
@@ -89,8 +88,7 @@ def realize(
     for saddle in sorted(boundary):
         domains[saddle], repairs[saddle] = _domain(boundary[saddle])
 
-    certificate = assemble(order, balanced, gluing, boundary, domains, repairs)
-    certificate = add_saddle_handles(certificate, order)
+    certificate = assemble(order, assignment, gluing, boundary, domains, repairs)
     problems = _invariant_problems(certificate, core)
     if problems:
         raise AssertionError("construction invariants broken: " + "; ".join(problems))
@@ -116,15 +114,9 @@ def _domain(cycles) -> tuple[DomainSpec, RepairLog]:
     return spec, log
 
 
-def _chi(cert: RealizationCertificate) -> int:
-    """Euler characteristic recomputed from the certificate's parts."""
-    return _chi_of(
-        cert.domains, cert.repairs, cert.vertex_count, cert.edge_count, cert.handle_count
-    )
-
-
 def _invariant_problems(cert: RealizationCertificate, core: FiniteOrder) -> list[str]:
-    """Every invariant a correct construction satisfies, each checked once."""
+    """Every invariant a correct construction satisfies, each checked once,
+    on a certificate that ``assemble`` built."""
     problems = []
     if cert.assignment.owners():
         problems += assignment_problems(cert.assignment, core)
@@ -138,11 +130,10 @@ def _invariant_problems(cert: RealizationCertificate, core: FiniteOrder) -> list
         )
     if 2 * cert.edge_count != cert.assignment.total_bands():
         problems.append("edge identity 2E = total band count fails")
-    chi = _chi(cert)
-    if chi % 2:
-        problems.append(f"odd Euler characteristic {chi}")
-    if cert.connected and chi > 2:
-        problems.append(f"Euler characteristic {chi} exceeds 2")
+    if cert.chi % 2:
+        problems.append(f"odd Euler characteristic {cert.chi}")
+    if cert.connected and cert.chi > 2:
+        problems.append(f"Euler characteristic {cert.chi} exceeds 2")
     for comp in cert.components:
         if comp.chi % 2:
             problems.append(f"component {comp.elements} has odd chi")
@@ -157,7 +148,15 @@ def _invariant_problems(cert: RealizationCertificate, core: FiniteOrder) -> list
 
 
 def verify_certificate(cert: RealizationCertificate) -> list[str]:
-    """Recompute every typed invariant from the certificate's own data."""
+    """Re-derive the certificate from its own stage data and list every
+    difference and every broken invariant.
+
+    The domains and repair logs are recomputed from the stored boundary
+    cycles; ``assemble`` then rebuilds the summary from the stored order,
+    cycles, gluing and boundary cycles, and each field of the stored
+    certificate is compared with the rebuilt one.  Stored summary values are
+    only compared, never computed with.
+    """
     problems = []
     order = cert.order
 
@@ -169,69 +168,42 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
     if reloaded.covers != order.covers:
         problems.append("stored covers do not match the relation")
 
-    roles = classify(order)
-    if roles.roles != cert.roles.roles or roles.generations != cert.roles.generations:
-        problems.append("stored roles differ from reclassification")
-
     report = check_connectivity(order)
     if not report.passed:
         problems.append(f"order fails connectivity at {report.failures()}")
 
-    if cert.north_south != order.north_south_pairs:
-        problems.append("stored north-south pairs differ")
-
-    if cert.edge_count != len(cert.gluing.pairs):
-        problems.append("edge count differs from the matching size")
-    if cert.vertex_count != len(roles.extremals()):
-        problems.append("vertex count differs from the number of extremals")
-
+    domains, repairs = {}, {}
     for saddle in sorted(cert.boundary):
         try:
-            spec, log = _domain(cert.boundary[saddle])
+            domains[saddle], repairs[saddle] = _domain(cert.boundary[saddle])
         except ValueError as exc:  # no valid length profile
             problems.append(f"boundary cycles of {saddle} give no domain: {exc}")
-            continue
-        if cert.domains.get(saddle) != spec:
-            problems.append(f"domain spec for {saddle} differs from recomputation")
-        if cert.repairs.get(saddle, RepairLog(steps=())) != log:
-            problems.append(f"repair log for {saddle} differs from recomputation")
-    if set(cert.domains) != set(cert.boundary):
-        problems.append("domains and boundary cycles cover different saddles")
 
-    expected_handles = saddle_handle_pairs(order)
-    if cert.handle_pairs != expected_handles:
-        problems.append("handle pairs differ from the saddle cover pairs")
-    if cert.handle_count != len(expected_handles):
-        problems.append("handle count differs")
-
-    extra = sum(log.extra_band_pairs for log in cert.repairs.values())
-    if cert.repair_extra_pairs != extra:
-        problems.append("repair surplus differs from the logs")
-
-    chi = _chi(cert)
-    if cert.chi != chi:
-        problems.append(f"stored chi {cert.chi} differs from recomputed {chi}")
-    if cert.connected:
-        if cert.genus != (2 - chi) // 2:
-            problems.append("stored genus differs from (2 - chi) / 2")
-    elif cert.genus is not None:
-        problems.append("disconnected assembly should not carry a global genus")
-    for comp in cert.components:
-        if comp.genus != (2 - comp.chi) // 2:
-            problems.append(f"component {comp.elements} genus mismatch")
-    if sum(c.chi for c in cert.components) != chi:
-        problems.append("component characteristics do not sum to chi")
-    if cert.connected != (len(cert.components) <= 1):
-        problems.append("connected flag contradicts the component list")
+    # the invariants look up every owner in the core order and the assembly
+    # every element a transition names; an owner in the core that is not
+    # extremal is reported by the invariants
     core = _core(order)
-    strays = sorted(set(cert.assignment.owners()) - set(core.elements))
+    owners, elements = cert.assignment.owners(), set(core.elements)
+    strays = sorted(set(owners) - elements)
     if strays:
-        # the invariants look up each owner in the core order; an owner in it
-        # that is not extremal is reported there
         return problems + [
             f"cycle owners {', '.join(strays)} are not elements of the core order"
         ]
-    return problems + _invariant_problems(cert, core)
+    named = {e for owner in owners for t in cert.assignment.cycle(owner) for e in t.key}
+    strays = sorted(named - elements)
+    if strays:
+        return problems + [
+            f"cycle transitions name {', '.join(strays)}, which are not elements"
+            " of the core order"
+        ]
+
+    rebuilt = assemble(order, cert.assignment, cert.gluing, cert.boundary, domains, repairs)
+    problems += [
+        f"stored field {f.name} differs from the re-assembled certificate"
+        for f in fields(cert)
+        if getattr(cert, f.name) != getattr(rebuilt, f.name)
+    ]
+    return problems + _invariant_problems(rebuilt, core)
 
 
 _KIND_NAMES = {dict: "an object", list: "an array"}
@@ -326,8 +298,11 @@ def certificate_from_dict(data: dict) -> RealizationCertificate:
             prongs=tuple(_field(recipe_doc, "prongs", list, at)),
             saddle_openings=_field(recipe_doc, "saddle_openings", path=at),
         )
+        profile = _field(d, "profile", list, where)
         domains[s] = DomainSpec(
-            profile=LengthProfile(tuple(_field(d, "profile", list, where))),
+            profile=LengthProfile(
+                tuple(_integer(n, f"{where}.profile[{i}]") for i, n in enumerate(profile))
+            ),
             genus=_field(d, "genus", path=where),
             recipe=recipe,
         )

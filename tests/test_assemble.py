@@ -1,6 +1,6 @@
 import pytest
 
-from smale_orders.assemble import plan_plugs, saddle_handle_pairs
+from smale_orders.assemble import plan_plugs
 from smale_orders.corpus import (
     DIAMOND,
     FAN_ORDER,
@@ -62,8 +62,8 @@ def test_handles_count_cover_pairs_only():
             ],
         }
     )
-    assert saddle_handle_pairs(order) == (("s1", "s2"), ("s2", "s3"))
     cert = realize(order)
+    assert cert.handle_pairs == (("s1", "s2"), ("s2", "s3"))
     assert cert.handle_count == 2  # transitive pair s1 > s3 adds no handle
 
 

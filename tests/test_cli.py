@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -8,6 +9,9 @@ import pytest
 
 import smale_orders
 from smale_orders.cli import main, seed_corpus
+from smale_orders.corpus import diamond_order
+from smale_orders.order import load_order
+from smale_orders.pipeline import realize
 
 
 def run_cli(*argv):
@@ -208,6 +212,97 @@ def test_verify_cert_reports_cycles_of_an_owner_outside_the_core(corpus_dir, tmp
     assert "cycle owners w are not elements of the core order" in problems
 
 
+# diamond, three-element chain and a north-south pair: three components
+THREE_PIECES = {
+    "elements": ["A", "s1", "s2", "w", "B", "t", "x", "p", "q"],
+    "relations": [
+        ["A", "s1"], ["A", "s2"], ["s1", "w"], ["s2", "w"], ["B", "t"], ["t", "x"],
+        ["p", "q"],
+    ],
+}
+
+
+def _swap_component_characteristics(doc):
+    # the diamond claims to be a sphere and the north-south sphere genus 30
+    first, last = doc["components"][0], doc["components"][-1]
+    for key in ("chi", "genus"):
+        first[key], last[key] = last[key], first[key]
+
+
+def _drop_component_element(doc):
+    doc["components"][0]["elements"].pop()
+
+
+def _edit_notes(doc):
+    doc["notes"][0] = "x"
+
+
+@pytest.mark.parametrize(
+    "order, edit, field",
+    [
+        (THREE_PIECES, _swap_component_characteristics, "components"),
+        (THREE_PIECES, _drop_component_element, "components"),
+        (None, _edit_notes, "notes"),
+    ],
+    ids=["swapped-component-chi", "component-elements", "notes"],
+)
+def test_verify_cert_compares_every_derived_field(tmp_path, order, edit, field):
+    doc = realize(load_order(order) if order else diamond_order()).to_dict()
+    edit(doc)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(doc))
+    out = tmp_path / "verify.json"
+    assert run_cli("verify-cert", str(cert_path), "-o", str(out)) == 2
+    assert json.loads(out.read_text())["problems"] == [
+        f"stored field {field} differs from the re-assembled certificate"
+    ]
+
+
+def _mutation_sites(node, path=()):
+    """Every key, and the first two items of every array, below node."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = list(range(min(2, len(node))))
+    else:
+        return
+    for key in keys:
+        yield path + (key,)
+        yield from _mutation_sites(node[key], path + (key,))
+
+
+_DELETE = object()
+
+
+def test_verify_cert_mutation_sweep(tmp_path, capsys):
+    """Every single-value mutation of a certificate is either the original
+    document (exit 0) or refused (exit 1 or 2), never a traceback."""
+    doc = realize(diamond_order()).to_dict()
+    cert_path = tmp_path / "cert.json"
+    count = 0
+    for site in _mutation_sites(doc):
+        for value in (5, [], {}, "x", [5], None, _DELETE):
+            mutated = copy.deepcopy(doc)
+            parent = mutated
+            for key in site[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[site[-1]]
+            else:
+                parent[site[-1]] = value
+            cert_path.write_text(json.dumps(mutated))
+            code = run_cli("verify-cert", str(cert_path))
+            capsys.readouterr()
+            assert code in ((0,) if mutated == doc else (1, 2)), (site, value, code)
+            count += 1
+    assert count == 1211
+
+
+def _with_s1_profile(cert, profile):
+    s1 = {**cert["domains"]["s1"], "profile": profile}
+    return {**cert, "domains": {**cert["domains"], "s1": s1}}
+
+
 @pytest.mark.parametrize(
     "edit, path",
     [
@@ -219,9 +314,11 @@ def test_verify_cert_reports_cycles_of_an_owner_outside_the_core(corpus_dir, tmp
         (lambda cert: {**cert, "gluing": [[["A", "x"], ["A", 0]]]}, "gluing[0][0][1]"),
         (lambda cert: {**cert, "boundary_cycles": {"s1": [["x"]]}}, "boundary_cycles.s1[0][0]"),
         (lambda cert: {**cert, "generations": {"s1": []}}, "generations.s1"),
+        (lambda cert: _with_s1_profile(cert, ["x"]), "domains.s1.profile[0]"),
+        (lambda cert: _with_s1_profile(cert, [4, [4]]), "domains.s1.profile[1]"),
     ],
     ids=["array", "order-5", "empty", "roles-5", "band-key-5", "band-index-x",
-         "boundary-key-x", "generation-array"],
+         "boundary-key-x", "generation-array", "profile-x", "profile-array"],
 )
 def test_malformed_certificates_are_input_errors(corpus_dir, tmp_path, edit, path):
     cert_path = tmp_path / "cert.json"

@@ -119,3 +119,17 @@ def test_realize_rejects_broken_boundary(monkeypatch):
     monkeypatch.setattr(pipeline, "glue_bands", shifted_glue)
     with pytest.raises(AssertionError, match=r"end = beginning \+ 1"):
         realize(diamond_order(), example_cycles())
+
+
+def test_realize_balances_only_external_cycles(monkeypatch):
+    """The doubled Euler circuits are balanced by construction; the invariant
+    pass checks them, so only supplied cycles go through balance_cycles."""
+    expected = realize(diamond_order()).to_dict()
+
+    def refuse(assignment, order):
+        raise RuntimeError("balance_cycles called")
+
+    monkeypatch.setattr(pipeline, "balance_cycles", refuse)
+    assert realize(diamond_order()).to_dict() == expected
+    with pytest.raises(RuntimeError, match="balance_cycles called"):
+        realize(diamond_order(), example1_cycles())

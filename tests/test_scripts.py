@@ -27,6 +27,79 @@ genus histogram (connected assemblies):
   genus  31: 1
 """
 
+SWEEP_6 = """\
+orders up to 6 elements            5231
+  with an isolated element (rejected)     1828
+  failing connectivity                    2891
+  realized                                 512
+    containing a north-south sphere         89
+    disconnected assemblies                 98
+lowest Euler characteristic               -246
+genus histogram (connected assemblies):
+  genus   0: 1
+  genus   9: 1
+  genus  10: 2
+  genus  11: 1
+  genus  14: 2
+  genus  15: 1
+  genus  18: 3
+  genus  19: 3
+  genus  20: 25
+  genus  21: 12
+  genus  23: 7
+  genus  26: 4
+  genus  27: 4
+  genus  29: 3
+  genus  30: 1
+  genus  31: 10
+  genus  32: 31
+  genus  33: 11
+  genus  34: 2
+  genus  35: 18
+  genus  36: 7
+  genus  38: 4
+  genus  39: 3
+  genus  40: 9
+  genus  41: 17
+  genus  42: 7
+  genus  43: 7
+  genus  44: 12
+  genus  45: 10
+  genus  46: 1
+  genus  47: 1
+  genus  49: 1
+  genus  50: 1
+  genus  55: 4
+  genus  56: 8
+  genus  57: 6
+  genus  58: 3
+  genus  59: 7
+  genus  60: 5
+  genus  64: 2
+  genus  65: 4
+  genus  66: 2
+  genus  72: 1
+  genus  73: 18
+  genus  74: 34
+  genus  75: 21
+  genus  76: 1
+  genus  77: 1
+  genus  79: 3
+  genus  80: 9
+  genus  81: 9
+  genus  82: 1
+  genus  83: 3
+  genus  84: 3
+  genus  88: 1
+  genus  89: 3
+  genus  90: 3
+  genus 120: 1
+  genus 121: 6
+  genus 122: 15
+  genus 123: 16
+  genus 124: 2
+"""
+
 GRADIENT_4 = """\
 gradient-shaped connected orders            10
   realizable by a gradient-like map          4
@@ -64,6 +137,7 @@ first-witness genus histogram:
         ("gradient_census.py", ["--max-size", "4"], GRADIENT_4),
         ("gradient_census.py", ["--max-size", "6"], GRADIENT_6),
         ("gradient_census.py", ["--max-size", "7"], GRADIENT_7),
+        ("sweep_small_orders.py", ["--max-size", "6", "--verify"], SWEEP_6),
     ],
 )
 def test_script_counts(script, args, expected):
