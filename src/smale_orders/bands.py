@@ -9,15 +9,20 @@ cycles satisfying conditions 1 and 2 such a perfect matching exists exactly
 when the star balance holds, so the matching itself detects an unbalanced
 assignment: a band left without a partner raises ``StarViolated``.
 
-The boundary of a saddle's domain is then read off by walking: glue-step to
-the partner band, advance-step to the adjacent band at that extremal point,
-and so on until the walk closes up.  Walking away from a beginning band
-(saddle on the right) moves to index+1, walking away from an end band
-(saddle on the left) moves to index-1; in both cases the end band sits at
-the beginning band's index plus one, which is the single indexation axiom
-the walk must satisfy.  Partners are chosen lazily during the walk, first
-available in index order, which is what makes the length-4 cycle
-example close into one long boundary component instead of two short ones.
+The boundary of a saddle's domain is then read off by a walk in four-step
+blocks from an attractor-side beginning band (saddle on the right): glue,
+advance to index+1 (an end band, saddle on the left), glue, advance to
+index-1, until the walk is back at its start.  In both advances the end band
+sits at the beginning band's index plus one, the single indexation axiom.
+Partners are chosen lazily during the walk, first available in index order,
+which is what makes the length-4 cycle example close into one long boundary
+component instead of two short ones.  Every walk closes without repeating a
+band: a band gets its partner once and advancing is a bijection, so the
+block map is injective and its orbits are disjoint cycles; the sides
+alternate because the queues match attractor-side bands with repeller-side
+bands only.  Unchained cycles can only break the adjacency: an advance onto
+a band not mentioning the saddle raises ``PreconditionViolated``.
+
 The match queues and each saddle's starting bands are built in one pass over
 the bands, so no step rescans all bands per saddle.
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ExhaustionFailure, StarViolated
+from .errors import PreconditionViolated, StarViolated
 from .order import FiniteOrder, classify
 from .cycles import CycleAssignment, Transition
 
@@ -103,7 +108,8 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
     saddle are matched on demand while its boundary is walked, taking the
     first not-yet-matched compatible band in index order.  Returns the
     complete gluing and a map from saddle to its boundary cycles; raises
-    ``StarViolated`` when some band finds no partner.
+    ``StarViolated`` when some band finds no partner and
+    ``PreconditionViolated`` when a four-step walk drifts off the saddle.
     """
     roles = classify(order)
     bands = bands_of(assignment)
@@ -138,49 +144,29 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
                 return cand
         raise StarViolated(f"no compatible partner left for band {key} of type {t.key}")
 
-    def advance(key: BandKey, kind: str) -> BandKey:
-        owner, idx = key
-        return (owner, (idx + (1 if kind == "beg" else -1)) % cycle_len[owner])
-
-    visited: set = set()
+    walked: set = set()  # attractor-side beginning bands already walked
     cycles: dict = {s: [] for s in roles.saddles()}
 
     for saddle in roles.saddles():
         for start in starts.get(saddle, ()):
-            if (start, "beg") in visited:
+            if start in walked:
                 continue
-            seq = [start]
-            visited.add((start, "beg"))
-            cur, kind = start, "beg"
+            cur, seq = start, [start]
             while True:
-                glued = partner_of(cur)
-                if (glued, kind) in visited:
-                    raise ExhaustionFailure(
-                        f"boundary walk for {saddle} revisited {glued}/{kind}"
-                    )
-                visited.add((glued, kind))
-                seq.append(glued)
-                if kind == "beg" and is_attractor[glued[0]]:
-                    raise ExhaustionFailure("walk pattern broken: expected repeller side")
-                if kind == "end" and not is_attractor[glued[0]]:
-                    raise ExhaustionFailure("walk pattern broken: expected attractor side")
-                nxt = advance(glued, kind)
-                nkind = "end" if kind == "beg" else "beg"
-                mention = bands[nxt].left if nkind == "end" else bands[nxt].right
-                if mention != saddle:
-                    raise ExhaustionFailure(
-                        f"boundary walk for {saddle} drifted to band {nxt}"
-                    )
-                if nxt == start and nkind == "beg":
-                    seq.append(start)
+                walked.add(cur)
+                for step in (1, -1):  # onto an end band, then a beginning band
+                    glued = partner_of(cur)
+                    owner, idx = glued
+                    cur = (owner, (idx + step) % cycle_len[owner])
+                    t = bands[cur]
+                    if (t.left if step == 1 else t.right) != saddle:
+                        raise PreconditionViolated(
+                            f"boundary walk for {saddle} drifted to band {cur}:"
+                            " the cycles are not chained"
+                        )
+                    seq += [glued, cur]
+                if cur == start:
                     break
-                if (nxt, nkind) in visited:
-                    raise ExhaustionFailure(
-                        f"boundary walk for {saddle} revisited {nxt}/{nkind}"
-                    )
-                visited.add((nxt, nkind))
-                seq.append(nxt)
-                cur, kind = nxt, nkind
             cycles[saddle].append(BoundaryCycle(saddle=saddle, sequence=tuple(seq)))
 
     unmatched = sorted(k for k in bands if k not in partner)

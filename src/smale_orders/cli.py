@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .assemble import TOOL_VERSION
@@ -45,23 +44,14 @@ COMMANDS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str
-    output_path: str | None = None
-    cycles_path: str | None = None
-    max_genus: int | None = None
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(config: RunConfig, obj) -> None:
+def _emit(args: argparse.Namespace, obj) -> None:
     text = _dump(obj)
-    if config.output_path:
-        Path(config.output_path).write_text(text, encoding="utf-8")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -82,22 +72,22 @@ def _refusal(stage: str, detail: str, extra: dict | None = None) -> dict:
     return doc
 
 
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute the parsed subcommand; returns the process exit status."""
     try:
-        if config.command == "verify-cert":
-            return _run_verify_cert(config)
-        order = _load_order_file(config.input_path)
+        if args.command == "verify-cert":
+            return _run_verify_cert(args)
+        order = _load_order_file(args.input)
     except (OSError, json.JSONDecodeError, SmaleOrderError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
     try:
-        if config.command == "validate":
+        if args.command == "validate":
             report = check_connectivity(order)
             roles = classify(order)
             _emit(
-                config,
+                args,
                 {
                     "order": order.to_dict(),
                     "roles": {e: r.value for e, r in sorted(roles.roles.items())},
@@ -108,11 +98,11 @@ def run(config: RunConfig) -> int:
             )
             return 0
 
-        if config.command == "check":
+        if args.command == "check":
             report = check_connectivity(order)
             violations = check_necessary(order)
             _emit(
-                config,
+                args,
                 {
                     "connectivity": report.to_dict(),
                     "violations": violations.to_dict()["violations"],
@@ -121,15 +111,13 @@ def run(config: RunConfig) -> int:
             )
             return 0 if report.passed and violations.empty else 2
 
-        if config.command == "realize":
-            assignment = (
-                _load_cycles_file(config.cycles_path) if config.cycles_path else None
-            )
+        if args.command == "realize":
+            assignment = _load_cycles_file(args.cycles) if args.cycles else None
             try:
                 certificate = realize(order, assignment)
             except ConnectivityFailure as exc:
                 _emit(
-                    config,
+                    args,
                     _refusal(
                         "connectivity",
                         str(exc),
@@ -137,36 +125,32 @@ def run(config: RunConfig) -> int:
                     ),
                 )
                 return 2
-            _emit(config, certificate.to_dict())
+            _emit(args, certificate.to_dict())
             return 0
 
-        if config.command == "plan-plugs":
-            _emit(config, plan_plugs(order).to_dict())
+        if args.command == "plan-plugs":
+            _emit(args, plan_plugs(order).to_dict())
             return 0
 
-        if config.command == "gradient-like":
+        if args.command == "gradient-like":
             try:
-                verdict = check_gradient_like(order, config.max_genus)
+                verdict = check_gradient_like(order, args.max_genus)
             except (NotGradientShape, DisconnectedGraph) as exc:
-                _emit(config, _refusal("gradient-shape", str(exc)))
+                _emit(args, _refusal("gradient-shape", str(exc)))
                 return 2
-            _emit(config, verdict.to_dict())
+            _emit(args, verdict.to_dict())
             return 0 if verdict.realizable else 2
 
-        if config.command == "export-dot":
-            return _run_export_dot(config, order)
+        return _run_export_dot(args, order)  # argparse admits no other command
 
     except (MalformedCycles, PreconditionViolated, StarViolated, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
-    sys.stderr.write(f"error: unknown command {config.command!r}\n")
-    return 1
 
-
-def _run_verify_cert(config: RunConfig) -> int:
+def _run_verify_cert(args: argparse.Namespace) -> int:
     try:
-        with open(config.input_path, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
         certificate = certificate_from_dict(data)
     except (OSError, json.JSONDecodeError, ValueError, SmaleOrderError) as exc:
@@ -176,14 +160,14 @@ def _run_verify_cert(config: RunConfig) -> int:
     reserialized = certificate.to_dict()
     if reserialized != data:
         problems = list(problems) + ["re-serialization differs from the input document"]
-    _emit(config, {"passed": not problems, "problems": list(problems)})
+    _emit(args, {"passed": not problems, "problems": list(problems)})
     return 0 if not problems else 2
 
 
-def _run_export_dot(config: RunConfig, order) -> int:
-    outdir = Path(config.output_path or ".")
+def _run_export_dot(args: argparse.Namespace, order) -> int:
+    outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    stem = Path(config.input_path).stem
+    stem = Path(args.input).stem
     written = []
 
     def write(name: str, text: str):
@@ -193,7 +177,7 @@ def _run_export_dot(config: RunConfig, order) -> int:
 
     write("hasse", hasse_dot(order))
 
-    assignment = _load_cycles_file(config.cycles_path) if config.cycles_path else None
+    assignment = _load_cycles_file(args.cycles) if args.cycles else None
     try:
         certificate = realize(order, assignment)
         write("bands", band_incidence_dot(certificate))
@@ -204,7 +188,7 @@ def _run_export_dot(config: RunConfig, order) -> int:
         highest, lowest = level_graphs(order)
         write("level-highest", level_graph_dot(highest, "highest"))
         write("level-lowest", level_graph_dot(lowest, "lowest"))
-        verdict = check_gradient_like(order, config.max_genus)
+        verdict = check_gradient_like(order, args.max_genus)
         if verdict.realizable:
             write(
                 "embedding",
@@ -286,14 +270,7 @@ def main(argv=None) -> int:
     if not args.command:
         parser.print_usage(sys.stderr)
         return 1
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_path=args.output,
-        cycles_path=getattr(args, "cycles", None),
-        max_genus=getattr(args, "max_genus", None),
-    )
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -271,9 +271,12 @@ def build_initial_cycles(order: FiniteOrder) -> CycleAssignment:
     multigraph whose vertices are the related saddles and whose edges are the
     admissible transition types, each taken together with its reverse.  The
     doubling makes in- and out-degrees equal and the two directions equally
-    frequent; the connectivity condition makes the multigraph connected, so
-    the circuit exists.  Every type then appears exactly twice, so the
-    resulting assignment is already balanced across sides.
+    frequent.  The connectivity condition makes the multigraph connected, so
+    the circuit exists: along a path through the comparability graph around
+    the element, two comparable saddles, or two saddles comparable to one
+    opposite extremal, make an admissible transition.  Every type then
+    appears exactly twice, so the resulting assignment is already balanced
+    across sides.
     """
     report = check_connectivity(order)
     if not report.passed:
@@ -300,12 +303,7 @@ def build_initial_cycles(order: FiniteOrder) -> CycleAssignment:
         for t in types:
             edges.append(t)
             edges.append(t.reversed())
-        circuit = _euler_circuit(vertices, edges)
-        if len(circuit) != len(edges):
-            raise ConnectivityFailure(
-                f"transition multigraph of {owner} is disconnected", report=report
-            )
-        cycles[owner] = tuple(circuit)
+        cycles[owner] = tuple(_euler_circuit(vertices, edges))
     return CycleAssignment(cycles=cycles)
 
 

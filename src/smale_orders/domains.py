@@ -183,85 +183,52 @@ def check_constructible(profile: LengthProfile):
 
 
 def _split_choices(n: int):
-    """Even splits of one circle of length n into two of total length n+2,
-    avoiding length-2 parts whenever possible."""
-    out = []
-    for a in range(4, n - 1, 2):
-        b = n + 2 - a
-        if b >= 4:
-            out.append((max(a, b), min(a, b)))
-    if not out:
-        out.append((n, 2))  # only when n == 4 or n == 2
-    seen, uniq = set(), []
-    for c in out:
-        if c not in seen:
-            seen.add(c)
-            uniq.append(c)
-    return uniq
+    """Even splits of one circle of length n >= 6 into two of total length
+    n+2, larger part first, neither part of length 2."""
+    return [(n + 2 - a, a) for a in range(4, n // 2 + 2, 2)]
 
 
 def repair_profile(profile: LengthProfile) -> tuple[LengthProfile, RepairLog]:
     """Make a profile constructible with the two boundary-cycle tricks.
 
-    First every length-2 circle is lengthened to 10 (which keeps the
-    congruence class).  Then circles are split, each split raising the
-    circle count by one and the total length by two, until the congruence
-    holds and the excluded family is avoided; split targets and parts are
-    chosen to dodge new length-2 circles and the excluded family.  A profile
-    off the congruence needs at most three splits; only an input already in
-    the excluded family costs four.
+    First every length-2 circle is lengthened to 10, which keeps the
+    congruence class.  Then the largest circle is split, each split raising
+    the circle count by one and the total length by two, until the profile
+    is constructible.  Once no 2 is left, a profile that still needs work has
+    a largest circle of at least 6 (4s alone are constructible), so no split
+    makes a 2.  The first split of that circle, (n - 2, 4), lands on the
+    excluded family only for a 12 next to a lone 6; there the second, (8, 6),
+    is taken.  So the result is always constructible: a profile off the
+    congruence needs at most three splits, and only an input already in the
+    excluded family costs four.
     """
     lengths = list(profile.lengths)
     steps = []
 
-    def record(op, before, after):
-        steps.append(RepairStep(op=op, before=tuple(before), after=tuple(after)))
-
-    def lengthen_all():
-        while 2 in lengths:
-            before = tuple(sorted(lengths, reverse=True))
-            lengths.remove(2)
-            lengths.append(10)
-            record(RepairOp.LENGTHEN_2_TO_10, before, tuple(sorted(lengths, reverse=True)))
+    def record(op, before):
+        after = tuple(sorted(lengths, reverse=True))
+        steps.append(RepairStep(op=op, before=before, after=after))
 
     def needs_work() -> bool:
-        p = LengthProfile(tuple(lengths))
-        verdict, _ = check_constructible(p)
+        verdict, _ = check_constructible(LengthProfile(tuple(lengths)))
         return verdict is not Verdict.CONSTRUCTIBLE
 
     if not needs_work():
         return profile, RepairLog(steps=())
 
-    lengthen_all()
-
-    guard = 0
-    while needs_work():
-        guard += 1
-        if guard > 12:
-            raise AssertionError(f"repair did not converge from {profile.lengths}")
+    while 2 in lengths:
         before = tuple(sorted(lengths, reverse=True))
-        chosen = None
-        for n in sorted(set(lengths), reverse=True):
-            for a, b in _split_choices(n):
-                trial = list(lengths)
-                trial.remove(n)
-                trial += [a, b]
-                tp = LengthProfile(tuple(trial))
-                done_after = tp.congruent() and 2 not in trial
-                if done_after and tp.is_excluded_family():
-                    continue  # dodge landing exactly on the excluded family
-                chosen = (n, a, b)
-                break
-            if chosen:
-                break
-        if chosen is None:  # cannot dodge; take the canonical split anyway
-            n = max(lengths)
-            a, b = _split_choices(n)[0]
-            chosen = (n, a, b)
-        n, a, b = chosen
+        lengths.remove(2)
+        lengths.append(10)
+        record(RepairOp.LENGTHEN_2_TO_10, before)
+
+    while needs_work():
+        before = tuple(sorted(lengths, reverse=True))
+        n = max(lengths)
         lengths.remove(n)
-        lengths += [a, b]
-        record(RepairOp.SPLIT_CYCLE, before, tuple(sorted(lengths, reverse=True)))
-        lengthen_all()
+        first, *rest = _split_choices(n)
+        split = LengthProfile((*lengths, *first))
+        lengths += rest[0] if split.congruent() and split.is_excluded_family() else first
+        record(RepairOp.SPLIT_CYCLE, before)
 
     return LengthProfile(tuple(lengths)), RepairLog(steps=tuple(steps))

@@ -72,14 +72,6 @@ class StarViolated(SmaleOrderError):
     """Cycle assignment does not balance transition counts across sides."""
 
 
-class ExhaustionFailure(SmaleOrderError):
-    """Internal invariant failure during boundary traversal.
-
-    Balanced inputs always close up; reaching this indicates a bug, never a
-    rejectable input.
-    """
-
-
 # --------------------------------------------------------- certificate input
 
 

@@ -235,30 +235,49 @@ def _require_connected(graph: LevelGraph) -> None:
         raise DisconnectedGraph(f"level graph on {graph.vertices} is disconnected")
 
 
+def _rotation_systems(darts: list):
+    """One rotation per vertex, each starting at the vertex's first dart, in
+    the order of ``itertools.product`` over the vertices' permutations.  An
+    odometer of one permutation iterator per vertex: a vertex's
+    (degree - 1)! rotations are produced lazily, never listed."""
+    if not darts:
+        yield ()
+        return
+    last = len(darts) - 1
+    combo = [()] * last
+    wheels = [itertools.permutations(darts[0][1:])]
+    while wheels:
+        i = len(wheels) - 1
+        if i == last:  # the fastest wheel turns in a plain loop
+            prefix, head = tuple(combo), darts[last][:1]
+            for perm in wheels.pop():
+                yield prefix + (head + perm,)
+            continue
+        perm = next(wheels[i], None)
+        if perm is None:
+            wheels.pop()
+            continue
+        combo[i] = darts[i][:1] + perm
+        wheels.append(itertools.permutations(darts[i + 1][1:]))
+
+
 def _embeddings(graph: LevelGraph, max_genus: int):
     """The embeddings of a connected graph with genus at most the bound, one
-    rotation system at a time, in the order of ``enumerate_embeddings``."""
+    rotation system at a time, in the order of ``enumerate_embeddings``.
+
+    Every rotation system of a connected graph is a cellular embedding in a
+    closed oriented surface (Heffter-Edmonds), so its characteristic is even
+    and at most 2.
+    """
     darts_at = _darts_at(graph)
     vertices = list(graph.vertices)
-    choices = []
-    for v in vertices:
-        ds = darts_at[v]
-        if len(ds) <= 1:
-            choices.append([ds])
-        else:
-            choices.append([(ds[0],) + rest for rest in itertools.permutations(ds[1:])])
     v_count = len(vertices)
     e_count = len(graph.edges)
-    for combo in itertools.product(*choices):
+    for combo in _rotation_systems([darts_at[v] for v in vertices]):
         rotation = dict(zip(vertices, combo))
         faces = _trace_faces(rotation)
         f_count = len(faces) if e_count else 1
-        chi = v_count - e_count + f_count
-        if chi % 2:
-            raise AssertionError(f"odd characteristic {chi} from a rotation system")
-        genus = (2 - chi) // 2
-        if genus < 0:
-            raise AssertionError(f"negative genus from rotation system {rotation}")
+        genus = (2 - v_count + e_count - f_count) // 2
         if genus <= max_genus:
             yield Embedding(
                 rotation=rotation,

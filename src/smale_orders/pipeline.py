@@ -15,7 +15,9 @@ checked in one place, ``_invariant_problems``, on a certificate that
 ``assemble`` built: ``realize`` runs it once and raises ``AssertionError``
 on any problem, and ``verify_certificate`` runs it on the re-assembled
 certificate.  ``_domain`` turns one saddle's boundary cycles into its domain
-spec and repair log for both, and asserts that the repair worked.
+spec and repair log for both.  A stored order is not reloaded: every
+``FiniteOrder`` comes from ``load_order``, ``from_down_sets`` or ``restrict``,
+so its relation is closed and its covers derived.
 """
 
 from __future__ import annotations
@@ -35,11 +37,16 @@ from .domains import (
     DomainSpec,
     LengthProfile,
     RepairLog,
-    Verdict,
     check_constructible,
     repair_profile,
 )
-from .errors import ConnectivityFailure, MalformedCertificate, PreconditionViolated
+from .errors import (
+    ConnectivityFailure,
+    MalformedCertificate,
+    MalformedCycles,
+    MalformedOrder,
+    PreconditionViolated,
+)
 from .order import FiniteOrder, check_connectivity, classify, load_order
 
 
@@ -60,11 +67,6 @@ def realize(
             report=report,
         )
 
-    for a, b in order.north_south_pairs:
-        # under the connectivity condition these pairs are always isolated
-        # two-element components
-        if order.up_set(b) != {a} or order.down_set(a) != {b}:
-            raise AssertionError(f"north-south pair {a}>{b} is not isolated")
     core = _core(order)
 
     if core.elements:
@@ -102,16 +104,10 @@ def _core(order: FiniteOrder) -> FiniteOrder:
 
 
 def _domain(cycles) -> tuple[DomainSpec, RepairLog]:
-    """Domain spec and repair log for one saddle's boundary cycles."""
-    profile = LengthProfile(boundary_profile(cycles))
-    verdict, spec = check_constructible(profile)
-    if verdict is Verdict.CONSTRUCTIBLE:
-        return spec, RepairLog(steps=())
-    repaired, log = repair_profile(profile)
-    verdict, spec = check_constructible(repaired)
-    if verdict is not Verdict.CONSTRUCTIBLE:
-        raise AssertionError(f"repair left {repaired.lengths} unbuildable")
-    return spec, log
+    """Domain spec and repair log for one saddle's boundary cycles; the
+    repaired profile is always constructible."""
+    repaired, log = repair_profile(LengthProfile(boundary_profile(cycles)))
+    return check_constructible(repaired)[1], log
 
 
 def _invariant_problems(cert: RealizationCertificate, core: FiniteOrder) -> list[str]:
@@ -159,15 +155,6 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
     """
     problems = []
     order = cert.order
-
-    reloaded = load_order(
-        {"elements": list(order.elements), "relations": [list(p) for p in order.relations]}
-    )
-    if reloaded.relations != order.relations:
-        problems.append("stored relations are not transitively closed")
-    if reloaded.covers != order.covers:
-        problems.append("stored covers do not match the relation")
-
     report = check_connectivity(order)
     if not report.passed:
         problems.append(f"order fails connectivity at {report.failures()}")
@@ -206,12 +193,12 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
     return problems + _invariant_problems(rebuilt, core)
 
 
-_KIND_NAMES = {dict: "an object", list: "an array"}
+_KIND_NAMES = {dict: "an object", list: "an array", int: "an integer", bool: "a boolean"}
 
 
 def _field(doc: dict, key: str, kind: type | None = None, path: str = ""):
-    """doc[key], which must exist and, given a kind, be a JSON object (dict)
-    or array (list); otherwise MalformedCertificate names the JSON path."""
+    """doc[key], which must exist and, given a kind, be of that JSON type
+    (dict, list, int or bool); otherwise MalformedCertificate names the path."""
     where = f"{path}.{key}" if path else key
     if key not in doc:
         raise MalformedCertificate(f"{where}: missing")
@@ -219,56 +206,70 @@ def _field(doc: dict, key: str, kind: type | None = None, path: str = ""):
 
 
 def _of_kind(value, kind: type | None, where: str):
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and type(value) is not kind:  # True is no integer here
         raise MalformedCertificate(f"{where}: expected {_KIND_NAMES[kind]}")
     return value
 
 
 def _items(doc: dict, key: str, kind: type, path: str = "") -> list:
-    """The array doc[key], every item of which must be of the given kind."""
-    where = f"{path}.{key}" if path else key
-    return [
-        _of_kind(item, kind, f"{where}[{i}]")
-        for i, item in enumerate(_field(doc, key, list, path))
-    ]
+    """The array doc[key], every item of which must be of the given kind;
+    the path is formatted only for a wrong item, as repair logs are long."""
+    items = _field(doc, key, list, path)
+    for i, item in enumerate(items):
+        if type(item) is not kind:
+            _of_kind(item, kind, f"{path}.{key}[{i}]" if path else f"{key}[{i}]")
+    return items
 
 
-def _integer(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedCertificate(f"{where}: expected an integer")
-    return value
+def _read(read, value, where: str):
+    """read(value) by a nested reader or an enum, its errors naming the JSON
+    path from the top of the certificate."""
+    try:
+        return read(value)
+    except (MalformedOrder, MalformedCycles) as exc:  # from a path inside value
+        raise type(exc)(f"{where}.{exc}") from None
+    except ValueError as exc:  # "'x' is not a valid Role"
+        raise MalformedCertificate(f"{where}: {exc}") from None
 
 
 def _band_key(value, where: str) -> tuple[str, int]:
     """A band key, stored as an [owner, index] array."""
     if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)):
         raise MalformedCertificate(f"{where}: expected an [owner, index] array")
-    return value[0], _integer(value[1], f"{where}[1]")
+    return value[0], _of_kind(value[1], int, f"{where}[1]")
 
 
 def certificate_from_dict(data: dict) -> RealizationCertificate:
     """Rebuild a certificate from its serialized form.  A key that is
-    missing or holds the wrong container raises ``MalformedCertificate``."""
+    missing or holds a value of the wrong JSON type raises
+    ``MalformedCertificate`` (or, inside ``order`` and ``cycles``,
+    ``MalformedOrder`` and ``MalformedCycles``) naming the JSON path."""
     from .domains import Recipe, RecipeKind, RepairOp, RepairStep
     from .assemble import ComponentSummary
     from .order import RoleMap, Role
 
     _of_kind(data, dict, "top level")
+    # only type-checked: the CLI's re-serialization check compares the value
+    _of_kind(data.get("schema_version", 0), int, "schema_version")
     order_doc = _field(data, "order", dict)
-    order = load_order(
+    order = _read(
+        load_order,
         {
             "elements": _field(order_doc, "elements", path="order"),
             "relations": _field(order_doc, "relations", path="order"),
-        }
+        },
+        "order",
     )
     roles = RoleMap(
-        roles={e: Role(v) for e, v in _field(data, "roles", dict).items()},
+        roles={
+            e: _read(Role, v, f"roles.{e}") for e, v in _field(data, "roles", dict).items()
+        },
         generations={
-            e: _integer(g, f"generations.{e}")
+            e: _of_kind(g, int, f"generations.{e}")
             for e, g in _field(data, "generations", dict).items()
         },
     )
-    assignment = CycleAssignment.from_dict(_field(data, "cycles", dict))
+    assignment = _read(CycleAssignment.from_dict, _field(data, "cycles", dict), "cycles")
     pairs = []
     for i, pair in enumerate(_items(data, "gluing", list)):
         if len(pair) != 2:
@@ -294,16 +295,13 @@ def certificate_from_dict(data: dict) -> RealizationCertificate:
         recipe_doc = _field(_of_kind(d, dict, where), "recipe", dict, where)
         at = f"{where}.recipe"
         recipe = Recipe(
-            kind=RecipeKind(_field(recipe_doc, "kind", path=at)),
-            prongs=tuple(_field(recipe_doc, "prongs", list, at)),
-            saddle_openings=_field(recipe_doc, "saddle_openings", path=at),
+            kind=_read(RecipeKind, _field(recipe_doc, "kind", path=at), f"{at}.kind"),
+            prongs=tuple(_items(recipe_doc, "prongs", int, at)),
+            saddle_openings=_field(recipe_doc, "saddle_openings", int, at),
         )
-        profile = _field(d, "profile", list, where)
         domains[s] = DomainSpec(
-            profile=LengthProfile(
-                tuple(_integer(n, f"{where}.profile[{i}]") for i, n in enumerate(profile))
-            ),
-            genus=_field(d, "genus", path=where),
+            profile=LengthProfile(tuple(_items(d, "profile", int, where))),
+            genus=_field(d, "genus", int, where),
             recipe=recipe,
         )
     repairs = {}
@@ -314,13 +312,14 @@ def certificate_from_dict(data: dict) -> RealizationCertificate:
             where = f"repairs.{s}[{i}]"
             steps.append(
                 RepairStep(
-                    op=RepairOp(_field(step, "op", path=where)),
-                    before=tuple(_field(step, "before", list, where)),
-                    after=tuple(_field(step, "after", list, where)),
+                    op=_read(RepairOp, _field(step, "op", path=where), f"{where}.op"),
+                    before=tuple(_items(step, "before", int, where)),
+                    after=tuple(_items(step, "after", int, where)),
                 )
             )
         if steps:
             repairs[s] = RepairLog(steps=tuple(steps))
+    genus = _field(data, "genus")  # null for a disconnected assembly
     return RealizationCertificate(
         order=order,
         roles=roles,
@@ -331,18 +330,18 @@ def certificate_from_dict(data: dict) -> RealizationCertificate:
         repairs=repairs,
         north_south=tuple(tuple(p) for p in _items(data, "north_south", list)),
         handle_pairs=tuple(tuple(p) for p in _items(data, "handles", list)),
-        vertex_count=_field(data, "vertex_count"),
-        edge_count=_field(data, "edge_count"),
-        handle_count=_field(data, "handle_count"),
-        repair_extra_pairs=_field(data, "repair_extra_pairs"),
-        chi=_field(data, "chi"),
-        connected=_field(data, "connected"),
-        genus=_field(data, "genus"),
+        vertex_count=_field(data, "vertex_count", int),
+        edge_count=_field(data, "edge_count", int),
+        handle_count=_field(data, "handle_count", int),
+        repair_extra_pairs=_field(data, "repair_extra_pairs", int),
+        chi=_field(data, "chi", int),
+        connected=_field(data, "connected", bool),
+        genus=None if genus is None else _of_kind(genus, int, "genus"),
         components=tuple(
             ComponentSummary(
                 elements=tuple(_field(c, "elements", list, f"components[{i}]")),
-                chi=_field(c, "chi", path=f"components[{i}]"),
-                genus=_field(c, "genus", path=f"components[{i}]"),
+                chi=_field(c, "chi", int, f"components[{i}]"),
+                genus=_field(c, "genus", int, f"components[{i}]"),
             )
             for i, c in enumerate(_items(data, "components", dict))
         ),

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from smale_orders.bands import (
     BandGluing,
@@ -8,8 +9,14 @@ from smale_orders.bands import (
     verify_boundary_cycles,
 )
 from smale_orders.corpus import diamond_order, example1_cycles, example_cycles
-from smale_orders.cycles import CycleAssignment, Transition, build_initial_cycles
-from smale_orders.errors import StarViolated
+from smale_orders.cycles import (
+    CycleAssignment,
+    Transition,
+    admissible_transitions,
+    build_initial_cycles,
+)
+from smale_orders.errors import PreconditionViolated, StarViolated
+from smale_orders.order import classify
 from smale_orders.order import load_order
 
 from helpers import (
@@ -105,6 +112,45 @@ def _spliced_built_diamond():
 def test_glue_rejects_unbalanced_assignment(unbalanced):
     with pytest.raises(StarViolated):
         glue_bands(unbalanced, diamond_order())
+
+
+def test_glue_rejects_unchained_cycles_naming_the_saddle():
+    # balanced, but s1 -> s2 is followed by s1 -> s2 again on both sides
+    word = [("s1", "s2"), ("s1", "s2"), ("s2", "s1"), ("s2", "s1")]
+    unchained = CycleAssignment(
+        cycles={
+            "w": tuple(T(a, "A", b, "w") for a, b in word),
+            "A": tuple(T(a, "w", b, "A") for a, b in word),
+        }
+    )
+    with pytest.raises(PreconditionViolated, match="boundary walk for s1 drifted"):
+        glue_bands(unchained, diamond_order())
+
+
+SMALL_ORDERS = [o for o in usable_orders(5) if len(o.elements) >= 4]
+
+
+@st.composite
+def admissible_words(draw):
+    """A census order and, per extremal, any word of admissible transitions:
+    often unbalanced or unchained."""
+    order = draw(st.sampled_from(SMALL_ORDERS))
+    cycles = {}
+    for owner in classify(order).extremals():
+        types = sorted(admissible_transitions(order, owner), key=lambda t: t.key)
+        cycles[owner] = tuple(draw(st.lists(st.sampled_from(types), max_size=6)))
+    return order, CycleAssignment(cycles=cycles)
+
+
+@given(admissible_words())
+def test_glue_on_arbitrary_words_returns_or_refuses(case):
+    """The walk closes on any input: a call returns or raises one of the two
+    refusals, never another error and never a hang."""
+    order, assignment = case
+    try:
+        glue_bands(assignment, order)
+    except (StarViolated, PreconditionViolated):
+        pass
 
 
 def test_glue_bands_deterministic():

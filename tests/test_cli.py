@@ -303,6 +303,21 @@ def _with_s1_profile(cert, profile):
     return {**cert, "domains": {**cert["domains"], "s1": s1}}
 
 
+def _set(*path_and_value):
+    """An edit that sets the value at a JSON path of a certificate copy."""
+    *path, value = path_and_value
+
+    def edit(cert):
+        cert = copy.deepcopy(cert)
+        node = cert
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return cert
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, path",
     [
@@ -316,9 +331,24 @@ def _with_s1_profile(cert, profile):
         (lambda cert: {**cert, "generations": {"s1": []}}, "generations.s1"),
         (lambda cert: _with_s1_profile(cert, ["x"]), "domains.s1.profile[0]"),
         (lambda cert: _with_s1_profile(cert, [4, [4]]), "domains.s1.profile[1]"),
+        # values Python compares equal to the derived ones
+        (_set("connected", 1), "connected"),
+        (_set("chi", 2.0), "chi"),
+        (_set("genus", False), "genus"),
+        (_set("handle_count", False), "handle_count"),
+        (_set("schema_version", True), "schema_version"),
+        # paths through the order and cycle readers, and enum values
+        (_set("cycles", "w", 1, 5), "cycles.w[1]"),
+        (_set("order", "elements", "ab"), "order.elements"),
+        (_set("roles", "A", "bogus"), "roles.A"),
+        (_set("domains", "s1", "recipe", "kind", "bogus"), "domains.s1.recipe.kind"),
+        (_set("repairs", "s1", 0, "op", "bogus"), "repairs.s1[0].op"),
     ],
     ids=["array", "order-5", "empty", "roles-5", "band-key-5", "band-index-x",
-         "boundary-key-x", "generation-array", "profile-x", "profile-array"],
+         "boundary-key-x", "generation-array", "profile-x", "profile-array",
+         "connected-1", "chi-float", "genus-false", "handle-count-false", "schema-true",
+         "cycles-item-5", "order-elements-string", "role-bogus",
+         "recipe-kind-bogus", "repair-op-bogus"],
 )
 def test_malformed_certificates_are_input_errors(corpus_dir, tmp_path, edit, path):
     cert_path = tmp_path / "cert.json"

@@ -117,6 +117,15 @@ def test_repair_noop_on_constructible_profile():
     assert log.steps == ()
 
 
+def test_repair_dodges_the_excluded_family_with_the_second_split():
+    # the first split of 12, (10, 4), would give the excluded (10, 6, 4)
+    repaired, log = repair_profile(LengthProfile((12, 6)))
+    assert repaired.lengths == (8, 6, 6)
+    assert [s.to_dict() for s in log.steps] == [
+        {"op": "split-cycle", "before": [12, 6], "after": [8, 6, 6]}
+    ]
+
+
 def test_repair_handles_excluded_family_with_four_splits():
     repaired, log = repair_profile(LengthProfile((6, 10)))
     verdict, _ = check_constructible(repaired)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -177,6 +178,28 @@ def test_euler_consistency_of_every_enumeration():
             chi = len(g.vertices) - len(g.edges) + emb.face_count
             assert chi == 2 - 2 * emb.genus
             assert emb.genus >= 0
+
+
+def test_rotation_systems_are_produced_lazily():
+    """The first system of a degree-10 vertex costs no list of its 9!
+    rotations (about 47 MiB when they are listed)."""
+    five_loops = load_order(
+        {
+            "elements": ["A", "w1", "w2"] + [f"s{i}" for i in range(5)],
+            "relations": [[x, y] for i in range(5) for x, y in
+                          (("A", f"s{i}"), (f"s{i}", "w1"), (f"s{i}", "w2"))],
+        }
+    )
+    highest, _ = level_graphs(five_loops)
+    tracemalloc.start()
+    try:
+        first = next(gradient._embeddings(highest, 99))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert first.rotation["A"] == tuple(sorted(first.rotation["A"]))
+    assert check_gradient_like(five_loops).genus == 2
 
 
 def test_genus_bound_filters():
