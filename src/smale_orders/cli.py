@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -44,8 +45,82 @@ COMMANDS = (
 )
 
 
+_STR = json.encoder.encode_basestring_ascii
+_SCALAR = {
+    str: _STR,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_ARRAY = frozenset((list, tuple))
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The text ``json.dumps`` writes with ``indent=2, sort_keys=True``, plus
+    a final newline, byte for byte.
+
+    ``json`` uses its C encoder only when ``indent`` is None (see
+    ``JSONEncoder.iterencode`` in ``json/encoder.py``); with an indent every
+    token passes through one Python generator per nesting level.  This
+    writer recurses once, appending to one list of pieces, and writes an
+    array of scalars, or of non-empty arrays of scalars, with one join.  It
+    accepts dict with ``str`` keys, list, tuple, str, int, bool and None,
+    dispatched on the exact class, and raises ``TypeError`` naming any other
+    type.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append the text of ``obj``; ``nl`` is a newline and the indent of
+    the line that ``obj`` starts on."""
+    cls = obj.__class__
+    if cls in _SCALAR:
+        out.append(_SCALAR[cls](obj))
+    elif (cls is dict or cls in _ARRAY) and not obj:
+        out.append("{}" if cls is dict else "[]")
+    elif cls is dict:
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if key.__class__ is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep, _STR(key), ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif cls in _ARRAY:
+        inner = nl + "  "
+        sep = "," + inner
+        kinds = set(map(type, obj))
+        if kinds.issubset(_SCALAR):
+            texts = [_SCALAR[x.__class__](x) for x in obj]
+            out.append("[" + inner + sep.join(texts) + nl + "]")
+            return
+        if kinds.issubset(_ARRAY) and all(obj):
+            # pairs, band keys, cycles: rows of scalars, unless one nests deeper
+            start, row_sep, end = "[" + inner + "  ", sep + "  ", inner + "]"
+            try:
+                rows = [
+                    start + row_sep.join([_SCALAR[y.__class__](y) for y in x]) + end
+                    for x in obj
+                ]
+            except KeyError:
+                pass
+            else:
+                out.append("[" + inner + sep.join(rows) + nl + "]")
+                return
+        lead = "[" + inner
+        for item in obj:
+            out.append(lead)
+            _write(item, inner, out)
+            lead = sep
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def _emit(args: argparse.Namespace, obj) -> None:
@@ -159,9 +234,29 @@ def _run_verify_cert(args: argparse.Namespace) -> int:
     problems = verify_certificate(certificate)
     reserialized = certificate.to_dict()
     if reserialized != data:
-        problems = list(problems) + ["re-serialization differs from the input document"]
+        paths = list(itertools.islice(_differences(reserialized, data), 6))
+        where = ", ".join(paths[:5]) + (", ..." if len(paths) > 5 else "")
+        problems = [*problems, f"re-serialization differs from the input document at {where}"]
     _emit(args, {"passed": not problems, "problems": list(problems)})
     return 0 if not problems else 2
+
+
+def _differences(a, b, path: str = ""):
+    """The JSON paths, in key order, at which two unequal documents differ:
+    a key present in one only, an array of another length, a scalar."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in a or key not in b:
+                yield where
+            elif a[key] != b[key]:
+                yield from _differences(a[key], b[key], where)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                yield from _differences(x, y, f"{path}[{i}]")
+    else:
+        yield path
 
 
 def _run_export_dot(args: argparse.Namespace, order) -> int:

@@ -8,6 +8,7 @@ is checked against a second, independent path.
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 
 from smale_orders.census import iter_orders
@@ -19,7 +20,7 @@ from smale_orders.gradient import (
     _trace_faces,
     enumerate_embeddings,
 )
-from smale_orders.order import FiniteOrder, Role, check_connectivity, classify
+from smale_orders.order import FiniteOrder, Role, check_connectivity, classify, load_order
 
 
 @lru_cache(maxsize=None)
@@ -35,6 +36,29 @@ def usable_orders(max_n: int) -> tuple[FiniteOrder, ...]:
                 continue
             out.append(order)
     return tuple(out)
+
+
+def layered_order(seed: int) -> dict:
+    """A seeded random order file: 6 repellers over 12 saddles over 6
+    attractors, each saddle below a repeller and above an attractor with
+    probability 1/2 (and at least one of each), redrawn until every element
+    is related and connectivity holds: about 1 500 to 2 200 bands."""
+    rng = random.Random(seed)
+    repellers, saddles, attractors = (
+        [f"{c}{i:02d}" for i in range(k)] for c, k in (("r", 6), ("s", 12), ("w", 6))
+    )
+    elements = repellers + saddles + attractors
+    while True:
+        relations = []
+        for s in saddles:
+            ups = [r for r in repellers if rng.random() < 0.5] or [rng.choice(repellers)]
+            downs = [w for w in attractors if rng.random() < 0.5] or [rng.choice(attractors)]
+            relations += [[r, s] for r in ups] + [[s, w] for w in downs]
+        if {x for pair in relations for x in pair} != set(elements):
+            continue
+        spec = {"elements": elements, "relations": relations}
+        if check_connectivity(load_order(spec)).passed:
+            return spec
 
 
 def oracle_connectivity(downs: tuple[int, ...]) -> dict:

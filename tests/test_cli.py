@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import smale_orders
-from smale_orders.cli import main, seed_corpus
+from smale_orders.cli import COMMANDS, main, seed_corpus
 from smale_orders.corpus import diamond_order
 from smale_orders.order import load_order
 from smale_orders.pipeline import realize
+
+from helpers import layered_order
 
 
 def run_cli(*argv):
@@ -179,7 +181,46 @@ def test_verify_cert_rejects_other_matching_strategy(corpus_dir, tmp_path):
     out = tmp_path / "verify.json"
     assert run_cli("verify-cert", str(cert_path), "-o", str(out)) == 2
     assert json.loads(out.read_text())["problems"] == [
-        "re-serialization differs from the input document"
+        "re-serialization differs from the input document at matching_strategy"
+    ]
+
+
+def _set_schema_version(doc):
+    doc["schema_version"] = 5
+
+
+def _set_tool_version(doc):
+    doc["tool_version"] = "x"
+
+
+def _drop_cover(doc):
+    doc["order"]["covers"].pop()
+
+
+def _add_seven_keys(doc):
+    doc.update({f"extra{i}": i for i in range(7)})
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (_set_schema_version, "schema_version"),
+        (_set_tool_version, "tool_version"),
+        (_drop_cover, "order.covers"),
+        (_add_seven_keys, "extra0, extra1, extra2, extra3, extra4, ..."),
+    ],
+    ids=["schema-version", "tool-version", "cover", "seven-keys"],
+)
+def test_verify_cert_names_where_reserialization_differs(corpus_dir, tmp_path, edit, where):
+    cert_path = tmp_path / "cert.json"
+    run_cli("realize", str(corpus_dir / "example1.json"), "-o", str(cert_path))
+    doc = json.loads(cert_path.read_text())
+    edit(doc)
+    cert_path.write_text(json.dumps(doc))
+    out = tmp_path / "verify.json"
+    assert run_cli("verify-cert", str(cert_path), "-o", str(out)) == 2
+    assert json.loads(out.read_text())["problems"] == [
+        f"re-serialization differs from the input document at {where}"
     ]
 
 
@@ -358,6 +399,43 @@ def test_malformed_certificates_are_input_errors(corpus_dir, tmp_path, edit, pat
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: unreadable certificate: {path}: ")
+
+
+def _assert_json_dumps_layout(text: str):
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_every_json_output_has_the_json_dumps_layout(corpus_dir, tmp_path, capsys):
+    """Every document the CLI writes, to a file or to stdout, is laid out as
+    ``json.dumps(indent=2, sort_keys=True)`` with a final newline."""
+    for path in sorted(corpus_dir.iterdir()):
+        _assert_json_dumps_layout(path.read_text(encoding="utf-8"))
+    big = tmp_path / "layered.json"
+    big.write_text(json.dumps(layered_order(0)))
+    orders = sorted(corpus_dir.glob("*.json"))
+    orders = [p for p in orders if not p.name.endswith(".cycles.json")] + [big]
+    documents = 0
+    for order in orders:
+        cycles = order.with_name(f"{order.stem}.cycles.json")
+        for command in COMMANDS[:-1]:
+            variants = [[]]
+            if command in ("realize", "export-dot") and cycles.exists():
+                variants.append(["--cycles", str(cycles)])
+            for extra in variants:
+                argv = [command, str(order), *extra]
+                if command == "export-dot":
+                    argv += ["-o", str(tmp_path / "dots")]
+                run_cli(*argv)
+                _assert_json_dumps_layout(capsys.readouterr().out)
+                documents += 1
+                if command == "realize":
+                    cert = tmp_path / "cert.json"
+                    if run_cli(*argv, "-o", str(cert)) == 0:
+                        _assert_json_dumps_layout(cert.read_text(encoding="utf-8"))
+                        assert run_cli("verify-cert", str(cert)) == 0
+                        _assert_json_dumps_layout(capsys.readouterr().out)
+                        documents += 2
+    assert documents == 64  # 52 command outputs, 6 certificates and their verdicts
 
 
 def test_outputs_byte_deterministic(corpus_dir, tmp_path):
