@@ -145,13 +145,7 @@ def assemble(
     roles = classify(order)
     repairs = {s: log for s, log in repairs.items() if log.steps}
     north_south = order.north_south_pairs
-    handle_pairs = tuple(
-        sorted(
-            (a, b)
-            for a, b in order.covers
-            if roles.roles[a] is Role.SADDLE and roles.roles[b] is Role.SADDLE
-        )
-    )
+    handle_pairs = order.saddle_cover_pairs
     vertex_count = len(roles.extremals())
     edge_count = len(gluing.pairs)
     extra = sum(log.extra_band_pairs for log in repairs.values())

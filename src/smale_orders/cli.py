@@ -3,8 +3,9 @@
 Exit codes: 0 for success (or a Realizable verdict), 2 for a principled
 mathematical refusal (connectivity failure, fired obstruction rules, a
 NotRealizable verdict, a certificate that fails re-verification), 1 for
-input or usage errors.  All outputs are byte-identical across runs for
-identical inputs.
+input or usage errors and for internal errors, which write
+``{"detail": ..., "internal_error": stage}`` to standard error.  All outputs
+are byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .assemble import TOOL_VERSION
 from .cycles import CycleAssignment
 from .dot import band_incidence_dot, embedding_dot, hasse_dot, level_graph_dot
 from .errors import (
+    BrokenInvariant,
     ConnectivityFailure,
     DisconnectedGraph,
     MalformedCycles,
@@ -220,6 +222,9 @@ def run(args: argparse.Namespace) -> int:
 
     except (MalformedCycles, PreconditionViolated, StarViolated, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except BrokenInvariant as exc:
+        sys.stderr.write(_dump({"internal_error": exc.stage, "detail": str(exc)}))
         return 1
 
 

@@ -14,8 +14,8 @@ and :func:`balance_cycles` equalizes them by splicing transition pairs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (
     ConnectivityFailure,
@@ -24,7 +24,7 @@ from .errors import (
     NotExtremal,
     PreconditionViolated,
 )
-from .order import FiniteOrder, check_connectivity, classify
+from .order import FiniteOrder, _flags, check_connectivity, classify
 
 
 @dataclass(frozen=True)
@@ -133,35 +133,31 @@ class StarLedger:
 def admissible_transitions(order: FiniteOrder, owner: str) -> frozenset[Transition]:
     """All transition types an extremal element's cycle may use.
 
+    Around an attractor, ``k --m--> l`` is admissible for saddles ``k`` and
+    ``l`` above it and every maximal ``m`` above both, the mask ``up[k] &
+    up[l] & maximal``; such an ``m`` lies above the owner too.  Around a
+    repeller it is the same with down masks and minimal elements.
     Self-transitions (same saddle on both sides) are included; they are
     always admissible because every related saddle shares some opposite
     extremal with itself.
     """
-    up, down = order.up_set(owner), order.down_set(owner)
+    i = order._index[owner]
+    up, down = order._up[i], order._down[i]
     if up and down:
         raise NotExtremal(f"{owner!r} is a saddle, not an extremal element")
     if not up and not down:
         raise NotExtremal(f"{owner!r} is isolated")
-    if down == frozenset():
-        # attractor: saddles above, repellers mediate
-        saddles = [s for s in sorted(up) if order.up_set(s)]
-        mediators = [a for a in sorted(up) if not order.up_set(a)]
-        rel = order.greater
-        return frozenset(
-            Transition(k, m, l, owner)
-            for k, l in itertools.product(saddles, repeat=2)
-            for m in mediators
-            if rel(m, k) and rel(m, l)
-        )
-    # repeller: saddles below, attractors mediate
-    saddles = [s for s in sorted(down) if order.down_set(s)]
-    mediators = [w for w in sorted(down) if not order.down_set(w)]
-    rel = order.greater
+    # attractor: saddles above, repellers mediate; repeller: the mirror image
+    far = order._up if not down else order._down
+    maxes, saddle_mask, mins = order._role_masks()
+    ends = maxes if not down else mins
+    names, related = order.elements, _flags(far[i] & saddle_mask)
+    saddles = list(zip(compress(names, related), compress(far, related)))
     return frozenset(
         Transition(k, m, l, owner)
-        for k, l in itertools.product(saddles, repeat=2)
-        for m in mediators
-        if rel(k, m) and rel(l, m)
+        for k, far_k in saddles
+        for l, far_l in saddles
+        for m in compress(names, _flags(far_k & far_l & ends))
     )
 
 
@@ -284,6 +280,12 @@ def build_initial_cycles(order: FiniteOrder) -> CycleAssignment:
             f"connectivity condition fails at {', '.join(report.failures())}",
             report=report,
         )
+    return _doubled_euler_cycles(order)
+
+
+def _doubled_euler_cycles(order: FiniteOrder) -> CycleAssignment:
+    """``build_initial_cycles`` on an order whose connectivity condition is
+    known to hold."""
     roles = classify(order)
     cycles = {}
     for owner in roles.extremals():

@@ -72,6 +72,19 @@ class StarViolated(SmaleOrderError):
     """Cycle assignment does not balance transition counts across sides."""
 
 
+# ---------------------------------------------------------- assembly stage
+
+
+class BrokenInvariant(AssertionError):
+    """A construction broke an invariant that every correct construction
+    keeps: a bug, not a property of the input.  ``stage`` names the stage
+    that found it."""
+
+    def __init__(self, stage: str, detail: str):
+        super().__init__(detail)
+        self.stage = stage
+
+
 # --------------------------------------------------------- certificate input
 
 

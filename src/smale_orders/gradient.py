@@ -153,13 +153,7 @@ def level_graphs(order: FiniteOrder) -> tuple[LevelGraph, LevelGraph]:
     def named(mask: int) -> list[str]:
         return sorted(itertools.compress(names, _flags(mask)))
 
-    maxes = mins = 0
-    for i, (down, up) in enumerate(zip(order._down, order._up)):
-        if not up:
-            maxes |= 1 << i
-        if not down:
-            mins |= 1 << i
-    saddles = (1 << len(names)) - 1 & ~(maxes | mins)
+    maxes, saddles, mins = order._role_masks()
     top_edges, bottom_edges = [], []
     for s in named(saddles):
         i = order._index[s]

@@ -1,17 +1,20 @@
 """Finite partial orders with repeller / saddle / attractor roles.
 
 The relation convention throughout the package: a pair ``(a, b)`` means
-``a > b``.  Stored relations are always strict and transitively closed; the
-Hasse covers are derived.  Element iteration order is lexicographic
-everywhere, which makes every downstream construction deterministic.
+``a > b``.  Relations are always strict and transitively closed; the Hasse
+covers are derived.  Element iteration order is lexicographic wherever a
+result is listed, which makes every downstream construction deterministic.
 
-Internally a set of elements is an int mask whose bit ``i`` stands for
-``elements[i]``.  An order keeps four masks per element: strict down- and
-up-set, cover children and cover parents.  ``load_order`` closes a generating
-set on masks in topological order and hands the result to ``from_down_sets``,
-the one builder of up-sets and covers, ``down[a] & ~OR(down[c] for c in
-down[a])``.  Connectivity floods masks one frontier at a time, and
-the name sets of ``down_set``/``up_set`` are made on first use.
+A set of elements is an int mask whose bit ``i`` stands for ``elements[i]``,
+and the masks are the order: four per element, the strict down- and up-set,
+the cover children and the cover parents.  ``load_order`` closes a
+generating set on masks in topological order and hands the result to
+``from_down_sets``, the one builder of up-sets and covers, ``down[a] &
+~OR(down[c] for c in down[a])``; ``restrict`` projects the masks.  The name
+pairs ``relations`` and ``covers`` are views computed from the masks on each
+use, ``to_dict`` writes its sorted pairs row by row from them, connectivity
+floods masks one frontier at a time, and the name sets of
+``down_set``/``up_set`` are made on first use.
 """
 
 from __future__ import annotations
@@ -54,33 +57,33 @@ class FiniteOrder:
     """A finite strict partial order, transitively closed, with Hasse covers.
 
     Instances are immutable; all operations on them are pure functions.  The
-    masks are derived from ``relations`` and ``covers`` unless the builder
-    passes them in.
+    mask tuples are the order, and two orders are equal when their elements
+    and down masks are; ``from_down_sets`` and ``restrict`` build them.
     """
 
     elements: tuple[str, ...]
-    relations: frozenset[tuple[str, str]]
-    covers: frozenset[tuple[str, str]]
-    _down: list = field(default=None, compare=False, repr=False)
-    _up: list = field(default=None, compare=False, repr=False)
-    _cover_down: list = field(default=None, compare=False, repr=False)
-    _cover_up: list = field(default=None, compare=False, repr=False)
+    _down: tuple[int, ...]
+    _up: tuple[int, ...] = field(compare=False, repr=False)
+    _cover_down: tuple[int, ...] = field(compare=False, repr=False)
+    _cover_up: tuple[int, ...] = field(compare=False, repr=False)
     _index: dict = field(init=False, compare=False, repr=False)
     _named: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        index = {e: i for i, e in enumerate(self.elements)}
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
         object.__setattr__(self, "_named", _NameSets(self.elements))
-        if self._down is None:
-            masks = _masks(index, self.relations) + _masks(index, self.covers)
-            for name, m in zip(("_down", "_up", "_cover_down", "_cover_up"), masks):
-                object.__setattr__(self, name, m)
 
     # -- basic queries ------------------------------------------------------
 
-    def greater(self, a: str, b: str) -> bool:
-        return (a, b) in self.relations
+    @property
+    def relations(self) -> frozenset[tuple[str, str]]:
+        """The pairs ``(a, b)`` with ``a > b``, made from the down masks."""
+        return _pairs(self.elements, self._down)
+
+    @property
+    def covers(self) -> frozenset[tuple[str, str]]:
+        """The Hasse cover pairs ``(a, b)``, made from the cover masks."""
+        return _pairs(self.elements, self._cover_down)
 
     def down_set(self, e: str) -> frozenset[str]:
         """Strictly smaller elements."""
@@ -98,6 +101,22 @@ class FiniteOrder:
     def minimal_elements(self) -> tuple[str, ...]:
         return tuple(e for e, down in zip(self.elements, self._down) if not down)
 
+    def _role_masks(self) -> tuple[int, int, int]:
+        """Masks of the maximal elements, the saddles and the minimal
+        elements."""
+        maxes = sum(1 << i for i, up in enumerate(self._up) if not up)
+        mins = sum(1 << i for i, down in enumerate(self._down) if not down)
+        return maxes, (1 << len(self.elements)) - 1 & ~(maxes | mins), mins
+
+    def _cover_pairs(self, upper: int, lower: int) -> tuple[tuple[str, str], ...]:
+        """Sorted cover pairs ``(a, b)`` with ``a`` in the mask ``upper`` and
+        ``b`` in the mask ``lower``."""
+        names, flags = self.elements, _flags(upper)
+        pairs = zip(compress(names, flags), compress(self._cover_down, flags))
+        return tuple(
+            sorted((a, b) for a, m in pairs for b in compress(names, _flags(m & lower)))
+        )
+
     @property
     def north_south_pairs(self) -> tuple[tuple[str, str], ...]:
         """Cover pairs joining a maximal directly to a minimal element.
@@ -105,11 +124,14 @@ class FiniteOrder:
         No saddle mediates such a pair; downstream stages realize each one as
         a separate sphere carrying a north-south map.
         """
-        maxes = set(self.maximal_elements)
-        mins = set(self.minimal_elements)
-        return tuple(
-            sorted((a, b) for a, b in self.covers if a in maxes and b in mins)
-        )
+        maxes, _, mins = self._role_masks()
+        return self._cover_pairs(maxes, mins)
+
+    @property
+    def saddle_cover_pairs(self) -> tuple[tuple[str, str], ...]:
+        """Cover pairs between two saddles, sorted."""
+        _, saddles, _ = self._role_masks()
+        return self._cover_pairs(saddles, saddles)
 
     def cover_children(self, e: str) -> tuple[str, ...]:
         return tuple(sorted(compress(self.elements, _flags(self._cover_down[self._index[e]]))))
@@ -118,19 +140,30 @@ class FiniteOrder:
         return tuple(sorted(compress(self.elements, _flags(self._cover_up[self._index[e]]))))
 
     def restrict(self, keep: set[str]) -> "FiniteOrder":
-        """Induced suborder on a union of comparability components."""
-        elements = tuple(e for e in self.elements if e in keep)
-        relations = frozenset(
-            (a, b) for a, b in self.relations if a in keep and b in keep
+        """Induced suborder on a union of comparability components, or on
+        what is left after removing extremal elements.
+
+        Neither leaves out an element that lies between two kept ones, so
+        every mask, covers included, is projected onto the kept elements.
+        """
+        kept = [i for i, e in enumerate(self.elements) if e in keep]
+
+        def project(masks) -> tuple[int, ...]:
+            return tuple(
+                sum(1 << new for new, old in enumerate(kept) if masks[i] >> old & 1)
+                for i in kept
+            )
+
+        return FiniteOrder(
+            tuple(self.elements[i] for i in kept),
+            *map(project, (self._down, self._up, self._cover_down, self._cover_up)),
         )
-        covers = frozenset((a, b) for a, b in self.covers if a in keep and b in keep)
-        return FiniteOrder(elements, relations, covers)
 
     def to_dict(self) -> dict:
         return {
             "elements": list(self.elements),
-            "relations": sorted([a, b] for a, b in self.relations),
-            "covers": sorted([a, b] for a, b in self.covers),
+            "relations": _rows(self.elements, self._down),
+            "covers": _rows(self.elements, self._cover_down),
         }
 
 
@@ -215,6 +248,16 @@ def _pairs(elements, masks) -> frozenset[tuple[str, str]]:
     return frozenset(
         [(a, b) for a, m in zip(elements, masks) for b in compress(elements, _flags(m))]
     )
+
+
+def _rows(elements, masks) -> list[list[str]]:
+    """The pairs ``[a, b]`` with ``b`` in the mask of ``a``, sorted.  Read
+    row by row over sorted elements they come out in order; only other
+    element orders are sorted."""
+    rows = [[a, b] for a, m in zip(elements, masks) for b in compress(elements, _flags(m))]
+    if list(elements) != sorted(elements):
+        rows.sort()
+    return rows
 
 
 def _components(adjacent: list[int], nodes: int) -> list[int]:
@@ -339,10 +382,7 @@ def from_down_sets(names: tuple[str, ...], downs: tuple[int, ...]) -> FiniteOrde
         if not d and not u:
             raise IsolatedElement(f"element {e!r} is unrelated to every other element")
     return FiniteOrder(
-        tuple(names),
-        _pairs(names, downs),
-        _pairs(names, cover_down),
-        list(downs), up, cover_down, cover_up,
+        tuple(names), tuple(downs), tuple(up), tuple(cover_down), tuple(cover_up)
     )
 
 

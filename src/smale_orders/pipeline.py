@@ -12,12 +12,13 @@ The stages validate their inputs and build; none re-checks its own output.
 The invariants every correct construction satisfies (cycle conditions, star
 balance, boundary-cycle axioms, 2E = band count, even chi at most 2) are
 checked in one place, ``_invariant_problems``, on a certificate that
-``assemble`` built: ``realize`` runs it once and raises ``AssertionError``
-on any problem, and ``verify_certificate`` runs it on the re-assembled
-certificate.  ``_domain`` turns one saddle's boundary cycles into its domain
-spec and repair log for both.  A stored order is not reloaded: every
-``FiniteOrder`` comes from ``load_order``, ``from_down_sets`` or ``restrict``,
-so its relation is closed and its covers derived.
+``assemble`` built: ``realize`` runs it once and raises ``BrokenInvariant``,
+an ``AssertionError`` that names the stage, on any problem, and
+``verify_certificate`` runs it on the re-assembled certificate.  ``_domain``
+turns one saddle's boundary cycles into its domain spec and repair log for
+both.  A stored order is not reloaded: every ``FiniteOrder`` comes from
+``load_order``, ``from_down_sets`` or ``restrict``, so its relation is
+closed and its covers derived.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .assemble import RealizationCertificate, assemble
 from .bands import BandGluing, BoundaryCycle, boundary_profile, glue_bands, verify_boundary_cycles
 from .cycles import (
     CycleAssignment,
+    _doubled_euler_cycles,
     assignment_problems,
     balance_cycles,
-    build_initial_cycles,
     verify_star,
 )
 from .domains import (
@@ -41,6 +42,7 @@ from .domains import (
     repair_profile,
 )
 from .errors import (
+    BrokenInvariant,
     ConnectivityFailure,
     MalformedCertificate,
     MalformedCycles,
@@ -59,6 +61,14 @@ def realize(
     elements outside north-south pairs and satisfy the cycle conditions; it
     is balanced before gluing.  By default the doubled Euler-circuit cycles
     are built, which are balanced by construction.
+
+    Connectivity is checked once, on the whole order, and that covers the
+    core.  In an order that passes, a north-south pair ``a > b`` is a
+    two-element component: anything else below ``a`` would be incomparable
+    to ``b``, which is minimal and covered by ``a``, and so leave ``b``
+    unconnected in the down-set of ``a``; likewise above ``b``.  Removing
+    the pair leaves every other extremal element with the same up- or
+    down-set.
     """
     report = check_connectivity(order)
     if not report.passed:
@@ -71,7 +81,7 @@ def realize(
 
     if core.elements:
         if assignment is None:
-            assignment = build_initial_cycles(core)
+            assignment = _doubled_euler_cycles(core)
         else:
             expected = set(classify(core).extremals())
             if set(assignment.owners()) != expected:
@@ -93,7 +103,9 @@ def realize(
     certificate = assemble(order, assignment, gluing, boundary, domains, repairs)
     problems = _invariant_problems(certificate, core)
     if problems:
-        raise AssertionError("construction invariants broken: " + "; ".join(problems))
+        raise BrokenInvariant(
+            "invariants", "construction invariants broken: " + "; ".join(problems)
+        )
     return certificate
 
 

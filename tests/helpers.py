@@ -213,6 +213,31 @@ def oracle_admissible(order: FiniteOrder, owner: str) -> set:
     return out
 
 
+def product_admissible(order: FiniteOrder, owner: str) -> set:
+    """The admissible transitions by the old product formula: every pair of
+    related saddles and every related opposite extremal, tested against the
+    relation pair by pair."""
+    rel = order.relations
+    up, down = order.up_set(owner), order.down_set(owner)
+    if not down:  # attractor: saddles above, repellers mediate
+        saddles = [s for s in sorted(up) if order.up_set(s)]
+        mediators = [a for a in sorted(up) if not order.up_set(a)]
+        return {
+            (k, m, l)
+            for k, l in itertools.product(saddles, repeat=2)
+            for m in mediators
+            if (m, k) in rel and (m, l) in rel
+        }
+    saddles = [s for s in sorted(down) if order.down_set(s)]
+    mediators = [w for w in sorted(down) if not order.down_set(w)]
+    return {
+        (k, m, l)
+        for k, l in itertools.product(saddles, repeat=2)
+        for m in mediators
+        if (k, m) in rel and (l, m) in rel
+    }
+
+
 # ---------------------------------------------------------------------------
 # independent band-gluing oracle
 # ---------------------------------------------------------------------------

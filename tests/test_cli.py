@@ -563,3 +563,20 @@ def test_malformed_cycle_files_are_input_errors(corpus_dir, tmp_path, command, s
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {path}: expected ")
+
+
+@pytest.mark.parametrize("command", ["realize", "export-dot"])
+def test_broken_invariant_is_a_structured_internal_error(
+    corpus_dir, tmp_path, monkeypatch, capsys, command
+):
+    import smale_orders.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "_invariant_problems", lambda cert, core: ["forced"])
+    code = run_cli(command, str(corpus_dir / "example1.json"), "-o", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert json.loads(err) == {
+        "internal_error": "invariants",
+        "detail": "construction invariants broken: forced",
+    }

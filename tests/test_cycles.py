@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from smale_orders.census import iter_orders
 from smale_orders.corpus import (
     IMPOSSIBLE_ORDER,
     diamond_order,
@@ -26,7 +27,7 @@ from smale_orders.errors import (
 )
 from smale_orders.order import load_order
 
-from helpers import oracle_admissible, usable_orders
+from helpers import oracle_admissible, product_admissible, usable_orders
 
 CHAIN3 = load_order({"elements": ["A", "s", "w"], "relations": [["A", "s"], ["s", "w"]]})
 
@@ -69,6 +70,19 @@ def test_admissible_matches_bruteforce_oracle():
         for owner in order.maximal_elements + order.minimal_elements:
             got = {t.key for t in admissible_transitions(order, owner)}
             assert got == oracle_admissible(order, owner)
+
+
+def test_admissible_agrees_with_product_formula_on_census():
+    """Every extremal of every census order up to six elements, connected or
+    not, against the pairwise test of the relation."""
+    checked = 0
+    for n in range(2, 7):
+        for order in iter_orders(n):
+            for owner in order.maximal_elements + order.minimal_elements:
+                got = {t.key for t in admissible_transitions(order, owner)}
+                assert got == product_admissible(order, owner)
+                checked += 1
+    assert checked > 10_000
 
 
 # -------------------------------------------------------------- construction

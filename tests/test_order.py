@@ -246,3 +246,79 @@ def test_long_chain_loads():
     assert len(order.relations) == 124_750
     assert len(order.covers) == 499
     assert check_connectivity(order).passed
+
+
+@st.composite
+def shuffled_orders(draw):
+    """An acyclic generating set, its elements listed in a drawn order that
+    is neither sorted nor the order's own, plus a choice of components."""
+    n = draw(st.integers(2, 9))
+    names = draw(st.permutations([f"x{i}" for i in range(n)]))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=3 * n))
+    spec = {
+        "elements": draw(st.permutations(names)),
+        "relations": [[names[max(p)], names[min(p)]] for p in pairs if p[0] != p[1]],
+    }
+    return spec, draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+def _brute_components(elements, rel):
+    """Comparability components as sets, by repeated merging."""
+    comps = [{e} for e in elements]
+    for a, b in rel:
+        ca = next(c for c in comps if a in c)
+        cb = next(c for c in comps if b in c)
+        if ca is not cb:
+            comps.remove(cb)
+            ca |= cb
+    return comps
+
+
+@settings(max_examples=300)
+@given(shuffled_orders())
+def test_mask_views_agree_with_brute_force(drawn):
+    """relations, covers, north_south_pairs, restrict, equality, hashing and
+    the exact to_dict output, through load_order (sorted elements) and
+    from_down_sets (the drawn element order), against plain sets."""
+    spec, picks = drawn
+    try:
+        expected = oracle_order(spec)
+    except OrderSpecError:
+        return
+    rel, covers = expected["relations"], expected["covers"]
+    elements = tuple(spec["elements"])
+    position = {e: i for i, e in enumerate(elements)}
+    downs = tuple(
+        sum(1 << position[b] for a, b in rel if a == e) for e in elements
+    )
+    loaded, direct = load_order(spec), from_down_sets(elements, downs)
+    maxes = {e for e in elements if not any(b == e for _, b in rel)}
+    mins = {e for e in elements if not any(a == e for a, _ in rel)}
+    comps = _brute_components(elements, rel)
+    keep = set().union(*(c for c, pick in zip(comps, picks) if pick))
+    for order in (loaded, direct):
+        assert order.relations == rel
+        assert order.covers == covers
+        assert order.north_south_pairs == tuple(
+            sorted((a, b) for a, b in covers if a in maxes and b in mins)
+        )
+        assert order.to_dict() == {
+            "elements": list(order.elements),
+            "relations": sorted([a, b] for a, b in rel),
+            "covers": sorted([a, b] for a, b in covers),
+        }
+        part = order.restrict(keep)
+        assert part.elements == tuple(e for e in order.elements if e in keep)
+        assert part.relations == {(a, b) for a, b in rel if a in keep}
+        assert part.covers == {(a, b) for a, b in covers if a in keep}
+        for e in part.elements:
+            assert part.up_set(e) == order.up_set(e)
+            assert part.cover_children(e) == order.cover_children(e)
+        if part.elements:
+            assert part == from_down_sets(part.elements, part._down)
+    assert loaded == from_down_sets(loaded.elements, loaded._down)
+    assert hash(loaded) == hash(from_down_sets(loaded.elements, loaded._down))
+    assert (direct == loaded) == (elements == loaded.elements)
+    dual = from_down_sets(elements, tuple(direct._up))
+    assert dual != direct and dual.relations == {(b, a) for a, b in rel}

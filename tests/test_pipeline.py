@@ -5,9 +5,9 @@ import pytest
 
 import smale_orders.pipeline as pipeline
 from smale_orders.bands import BoundaryCycle, glue_bands
-from smale_orders.corpus import diamond_order, example1_cycles, example_cycles
+from smale_orders.corpus import IMPOSSIBLE_ORDER, diamond_order, example1_cycles, example_cycles
 from smale_orders.cycles import CycleAssignment, build_initial_cycles, verify_star
-from smale_orders.errors import PreconditionViolated
+from smale_orders.errors import ConnectivityFailure, PreconditionViolated
 from smale_orders.order import check_connectivity, from_down_sets, load_order
 from smale_orders.pipeline import certificate_from_dict, realize, verify_certificate
 
@@ -133,3 +133,25 @@ def test_realize_balances_only_external_cycles(monkeypatch):
     assert realize(diamond_order()).to_dict() == expected
     with pytest.raises(RuntimeError, match="balance_cycles called"):
         realize(diamond_order(), example1_cycles())
+
+
+def test_realize_checks_connectivity_once(monkeypatch):
+    """realize checks the whole order and hands the checked core to the
+    cycle builder, which does not check it again."""
+    import smale_orders.cycles as cycles
+    import smale_orders.order as order_module
+
+    calls = []
+
+    def counted(order):
+        calls.append(order)
+        return order_module.check_connectivity(order)
+
+    for module in (pipeline, cycles):
+        monkeypatch.setattr(module, "check_connectivity", counted)
+    realize(diamond_order())
+    assert len(calls) == 1
+    with pytest.raises(ConnectivityFailure):  # the public builder still checks
+        build_initial_cycles(load_order(IMPOSSIBLE_ORDER))
+    assert len(calls) == 2
+
