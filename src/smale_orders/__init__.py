@@ -18,7 +18,6 @@ from .cycles import (
     balance_cycles,
     build_initial_cycles,
     star_ledger,
-    verify_star,
 )
 from .bands import (
     BandGluing,
@@ -98,5 +97,4 @@ __all__ = [
     "star_ledger",
     "verify_boundary_cycles",
     "verify_certificate",
-    "verify_star",
 ]

@@ -285,7 +285,10 @@ def build_initial_cycles(order: FiniteOrder) -> CycleAssignment:
 
 def _doubled_euler_cycles(order: FiniteOrder) -> CycleAssignment:
     """``build_initial_cycles`` on an order whose connectivity condition is
-    known to hold."""
+    known to hold.  Every owner gets a type: a related saddle s lies under
+    a repeller (over an attractor) m, so s -m-> s is admissible; an owner
+    without one has a related extremal that mediates nothing, and raises.
+    """
     roles = classify(order)
     cycles = {}
     for owner in roles.extremals():
@@ -298,8 +301,6 @@ def _doubled_euler_cycles(order: FiniteOrder) -> CycleAssignment:
                 raise NoMediator(
                     f"extremal {e} related to {owner} mediates no transition"
                 )
-        if not types:
-            raise NoMediator(f"no saddles related to {owner}")
         vertices = sorted({t.left for t in types})
         edges = []
         for t in types:
@@ -352,11 +353,6 @@ def star_ledger(assignment: CycleAssignment, order: FiniteOrder) -> StarLedger:
     return StarLedger(groups={k: tuple(v) for k, v in groups.items()})
 
 
-def verify_star(assignment: CycleAssignment, order: FiniteOrder) -> tuple[StarLedger, bool]:
-    ledger = star_ledger(assignment, order)
-    return ledger, ledger.balanced
-
-
 def _canonical_start(word) -> int:
     """Index starting the lexicographically least rotation of the cycle."""
     keys = [t.key for t in word]
@@ -390,7 +386,8 @@ def balance_cycles(assignment: CycleAssignment, order: FiniteOrder) -> CycleAssi
     k; for k = l a single self-transition is spliced in.  Each splice
     preserves chaining and conditions 1 and 2 and reduces the total deficit
     by one, so the loop inserts exactly the initial deficit.  The result is
-    not re-checked here; ``realize`` checks it with the other invariants.
+    not re-checked here: ``glue_bands`` finds a perfect matching only for a
+    balanced assignment, and ``realize`` re-checks that matching.
     """
     validate_assignment(assignment, order)
     cycles = {owner: list(assignment.cycle(owner)) for owner in assignment.owners()}

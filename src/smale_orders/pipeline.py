@@ -9,10 +9,11 @@ so certificates can be re-checked after serialization by an independent
 process.
 
 The stages validate their inputs and build; none re-checks its own output.
-The invariants every correct construction satisfies (cycle conditions, star
-balance, boundary-cycle axioms, 2E = band count, even chi at most 2) are
-checked in one place, ``_invariant_problems``, on a certificate that
-``assemble`` built: ``realize`` runs it once and raises ``BrokenInvariant``,
+The invariants every correct construction satisfies (cycle conditions,
+boundary-cycle axioms, even chi at most 2) are checked in one place,
+``_invariant_problems``, on a certificate that ``assemble`` built; star
+balance, 2E = band count and the band appearance cap follow from the first
+two.  ``realize`` runs the check once and raises ``BrokenInvariant``,
 an ``AssertionError`` that names the stage, on any problem, and
 ``verify_certificate`` runs it on the re-assembled certificate.  ``_domain``
 turns one saddle's boundary cycles into its domain spec and repair log for
@@ -27,13 +28,7 @@ from dataclasses import fields
 
 from .assemble import RealizationCertificate, assemble
 from .bands import BandGluing, BoundaryCycle, boundary_profile, glue_bands, verify_boundary_cycles
-from .cycles import (
-    CycleAssignment,
-    _doubled_euler_cycles,
-    assignment_problems,
-    balance_cycles,
-    verify_star,
-)
+from .cycles import CycleAssignment, _doubled_euler_cycles, assignment_problems, balance_cycles
 from .domains import (
     DomainSpec,
     LengthProfile,
@@ -78,23 +73,17 @@ def realize(
         )
 
     core = _core(order)
-
-    if core.elements:
-        if assignment is None:
-            assignment = _doubled_euler_cycles(core)
-        else:
-            expected = set(classify(core).extremals())
-            if set(assignment.owners()) != expected:
-                raise PreconditionViolated(
-                    f"assignment owners {sorted(assignment.owners())} do not"
-                    f" match the extremal elements {sorted(expected)}"
-                )
-            assignment = balance_cycles(assignment, core)
-        gluing, boundary = glue_bands(assignment, core)
+    if assignment is None or not core.elements:  # an empty core has no cycles
+        assignment = _doubled_euler_cycles(core)
     else:
-        assignment = CycleAssignment(cycles={})
-        gluing = BandGluing(pairs=())
-        boundary = {}
+        expected = set(classify(core).extremals())
+        if set(assignment.owners()) != expected:
+            raise PreconditionViolated(
+                f"assignment owners {sorted(assignment.owners())} do not"
+                f" match the extremal elements {sorted(expected)}"
+            )
+        assignment = balance_cycles(assignment, core)
+    gluing, boundary = glue_bands(assignment, core)
 
     domains, repairs = {}, {}
     for saddle in sorted(boundary):
@@ -124,20 +113,20 @@ def _domain(cycles) -> tuple[DomainSpec, RepairLog]:
 
 def _invariant_problems(cert: RealizationCertificate, core: FiniteOrder) -> list[str]:
     """Every invariant a correct construction satisfies, each checked once,
-    on a certificate that ``assemble`` built."""
-    problems = []
-    if cert.assignment.owners():
-        problems += assignment_problems(cert.assignment, core)
-        ledger, ok = verify_star(cert.assignment, core)
-        if not ok:
-            problems.append(
-                f"transition counts unbalanced: {ledger.unbalanced_groups()}"
-            )
-        problems += verify_boundary_cycles(
-            cert.gluing, cert.boundary, cert.assignment, core
-        )
-    if 2 * cert.edge_count != cert.assignment.total_bands():
-        problems.append("edge identity 2E = total band count fails")
+    on a certificate that ``assemble`` built, with or without cycles.
+
+    Three more follow when the cycle and boundary checks pass.  Star
+    balance: each attractor band (om, mediator al, k -> l) is paired one to
+    one with a repeller band (al, mediator om, k -> l), so a_kl = r_kl, and
+    conditions 1 and 2 give a_kl = a_lk.  2E = band count: every band is in
+    exactly one pair of two known bands, and ``edge_count`` counts pairs.
+    Appearance cap: a band related to a saddle appears exactly its cap, and
+    an unrelated one is reported.  The chi checks stay: nothing above gives
+    them, nor do the components give the total, as a boundary entry named
+    outside the order counts in the total chi but in no component's.
+    """
+    problems = assignment_problems(cert.assignment, core)
+    problems += verify_boundary_cycles(cert.gluing, cert.boundary, cert.assignment, core)
     if cert.chi % 2:
         problems.append(f"odd Euler characteristic {cert.chi}")
     if cert.connected and cert.chi > 2:

@@ -12,6 +12,7 @@ import random
 from functools import lru_cache
 
 from smale_orders.census import iter_orders
+from smale_orders.cycles import star_ledger
 from smale_orders.errors import CycleInRelation, IsolatedElement, NotGradientShape
 from smale_orders.gradient import (
     Embedding,
@@ -236,6 +237,12 @@ def product_admissible(order: FiniteOrder, owner: str) -> set:
         for m in mediators
         if (k, m) in rel and (l, m) in rel
     }
+
+
+def verify_star(assignment, order):
+    """The star ledger of an assignment and whether it is balanced."""
+    ledger = star_ledger(assignment, order)
+    return ledger, ledger.balanced
 
 
 # ---------------------------------------------------------------------------

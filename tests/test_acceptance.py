@@ -24,7 +24,6 @@ from smale_orders.cycles import (
     balance_cycles,
     build_initial_cycles,
     star_ledger,
-    verify_star,
 )
 from smale_orders.domains import (
     LengthProfile,
@@ -50,6 +49,7 @@ from helpers import (
     multigraphs_isomorphic,
     oracle_axiom_counts,
     usable_orders,
+    verify_star,
     walk_boundaries,
 )
 

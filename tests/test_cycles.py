@@ -17,7 +17,6 @@ from smale_orders.cycles import (
     build_initial_cycles,
     star_ledger,
     validate_assignment,
-    verify_star,
 )
 from smale_orders.errors import (
     ConnectivityFailure,
@@ -27,7 +26,7 @@ from smale_orders.errors import (
 )
 from smale_orders.order import load_order
 
-from helpers import oracle_admissible, product_admissible, usable_orders
+from helpers import oracle_admissible, product_admissible, usable_orders, verify_star
 
 CHAIN3 = load_order({"elements": ["A", "s", "w"], "relations": [["A", "s"], ["s", "w"]]})
 

@@ -6,12 +6,12 @@ import pytest
 import smale_orders.pipeline as pipeline
 from smale_orders.bands import BoundaryCycle, glue_bands
 from smale_orders.corpus import IMPOSSIBLE_ORDER, diamond_order, example1_cycles, example_cycles
-from smale_orders.cycles import CycleAssignment, build_initial_cycles, verify_star
+from smale_orders.cycles import CycleAssignment, build_initial_cycles
 from smale_orders.errors import ConnectivityFailure, PreconditionViolated
 from smale_orders.order import check_connectivity, from_down_sets, load_order
 from smale_orders.pipeline import certificate_from_dict, realize, verify_certificate
 
-from helpers import usable_orders
+from helpers import usable_orders, verify_star
 
 
 def test_round_trip_serialization_is_bit_exact():
