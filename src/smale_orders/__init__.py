@@ -48,7 +48,6 @@ from .gradient import (
     ViolationReport,
     check_gradient_like,
     check_necessary,
-    enumerate_embeddings,
     level_graphs,
 )
 from .pipeline import certificate_from_dict, realize, verify_certificate
@@ -87,7 +86,6 @@ __all__ = [
     "check_gradient_like",
     "check_necessary",
     "classify",
-    "enumerate_embeddings",
     "glue_bands",
     "level_graphs",
     "load_order",

@@ -221,8 +221,8 @@ def verify_boundary_cycles(
             if len(seq) < 3 or seq[0] != seq[-1]:
                 problems.append(f"{saddle}: cycle does not close on its first band")
                 continue
-            if cyc.length * 2 != len(seq) - 1:
-                problems.append(f"{saddle}: stored length {cyc.length} inconsistent")
+            if len(seq) % 2 == 0:
+                problems.append(f"{saddle}: cycle body has an odd band count {len(seq) - 1}")
             if cyc.length % 2 != 0:
                 problems.append(f"{saddle}: odd boundary length {cyc.length}")
             total_len += cyc.length

@@ -182,12 +182,6 @@ def check_constructible(profile: LengthProfile):
     return Verdict.CONSTRUCTIBLE, spec
 
 
-def _split_choices(n: int):
-    """Even splits of one circle of length n >= 6 into two of total length
-    n+2, larger part first, neither part of length 2."""
-    return [(n + 2 - a, a) for a in range(4, n // 2 + 2, 2)]
-
-
 def repair_profile(profile: LengthProfile) -> tuple[LengthProfile, RepairLog]:
     """Make a profile constructible with the two boundary-cycle tricks.
 
@@ -197,10 +191,10 @@ def repair_profile(profile: LengthProfile) -> tuple[LengthProfile, RepairLog]:
     is constructible.  Once no 2 is left, a profile that still needs work has
     a largest circle of at least 6 (4s alone are constructible), so no split
     makes a 2.  The first split of that circle, (n - 2, 4), lands on the
-    excluded family only for a 12 next to a lone 6; there the second, (8, 6),
-    is taken.  So the result is always constructible: a profile off the
-    congruence needs at most three splits, and only an input already in the
-    excluded family costs four.
+    excluded family only for a 12 next to a lone 6; there the second,
+    (n - 4, 6) = (8, 6), is taken.  So the result is always constructible: a
+    profile off the congruence needs at most three splits, and only an input
+    already in the excluded family costs four.
     """
     lengths = list(profile.lengths)
     steps = []
@@ -226,9 +220,9 @@ def repair_profile(profile: LengthProfile) -> tuple[LengthProfile, RepairLog]:
         before = tuple(sorted(lengths, reverse=True))
         n = max(lengths)
         lengths.remove(n)
-        first, *rest = _split_choices(n)
+        first = (n - 2, 4)
         split = LengthProfile((*lengths, *first))
-        lengths += rest[0] if split.congruent() and split.is_excluded_family() else first
+        lengths += (n - 4, 6) if split.congruent() and split.is_excluded_family() else first
         record(RepairOp.SPLIT_CYCLE, before)
 
     return LengthProfile(tuple(lengths)), RepairLog(steps=tuple(steps))

@@ -19,8 +19,9 @@ embeddings exhaustively; a witness names the attractor of each face.
 A witness has one face per attractor (F = A), so its Euler characteristic is
 forced to chi = R - S + A and its genus to (2 - chi) / 2.  The decision
 refuses an odd chi, or a genus above the bound, without searching; otherwise
-it walks the rotation systems lazily, skips those with another face count
-and stops at the first witness.
+``check_gradient_like``, the only loop over rotation systems, walks them
+lazily in ``itertools.product`` order over the vertices' rotations, skips
+those with another face count and stops at the first witness.
 """
 
 from __future__ import annotations
@@ -183,11 +184,6 @@ Dart = tuple[int, int]  # (edge index, end)
 class Embedding:
     rotation: dict  # vertex -> tuple[Dart, ...], counterclockwise
     faces: tuple  # tuple of dart tuples
-    genus: int
-
-    @property
-    def face_count(self) -> int:
-        return len(self.faces)
 
 
 def _darts_at(graph: LevelGraph) -> dict:
@@ -224,11 +220,6 @@ def _trace_faces(rotation: dict):
     return tuple(faces)
 
 
-def _require_connected(graph: LevelGraph) -> None:
-    if len(_linked_components(graph.vertices, graph.endpoint_pairs())) > 1:
-        raise DisconnectedGraph(f"level graph on {graph.vertices} is disconnected")
-
-
 def _rotation_systems(darts: list):
     """One rotation per vertex, each starting at the vertex's first dart, in
     the order of ``itertools.product`` over the vertices' permutations.  An
@@ -253,46 +244,6 @@ def _rotation_systems(darts: list):
             continue
         combo[i] = darts[i][:1] + perm
         wheels.append(itertools.permutations(darts[i + 1][1:]))
-
-
-def _embeddings(graph: LevelGraph, max_genus: int):
-    """The embeddings of a connected graph with genus at most the bound, one
-    rotation system at a time, in the order of ``enumerate_embeddings``.
-
-    Every rotation system of a connected graph is a cellular embedding in a
-    closed oriented surface (Heffter-Edmonds), so its characteristic is even
-    and at most 2.
-    """
-    darts_at = _darts_at(graph)
-    vertices = list(graph.vertices)
-    v_count = len(vertices)
-    e_count = len(graph.edges)
-    for combo in _rotation_systems([darts_at[v] for v in vertices]):
-        rotation = dict(zip(vertices, combo))
-        faces = _trace_faces(rotation)
-        f_count = len(faces) if e_count else 1
-        genus = (2 - v_count + e_count - f_count) // 2
-        if genus <= max_genus:
-            yield Embedding(
-                rotation=rotation,
-                faces=faces if e_count else ((),),
-                genus=genus,
-            )
-
-
-def enumerate_embeddings(graph: LevelGraph, max_genus: int | None = None):
-    """All rotation systems of the graph with genus at most the bound.
-
-    The count of rotation systems is the product over vertices of
-    (degree - 1)! and each one determines a cellular embedding in a closed
-    oriented surface whose faces come from the standard tracing rule.
-    Deterministic lexicographic order.  A vertex without edges contributes
-    one face (point on a sphere).
-    """
-    _require_connected(graph)
-    if max_genus is None:
-        max_genus = len(graph.edges)
-    return list(_embeddings(graph, max_genus))
 
 
 # --------------------------------------------------------------------------
@@ -342,14 +293,17 @@ def check_gradient_like(order: FiniteOrder, max_genus: int | None = None) -> Gra
     Euler characteristic at chi = R - S + A (repellers, saddles,
     attractors) and its genus at (2 - chi) / 2 before any search.  An odd
     chi, or a genus above the bound, is refused at once; otherwise the
-    rotation systems are walked lazily in the order of
-    ``enumerate_embeddings``, a system with another face count is skipped
-    before any signature is built, and the search stops at the first
-    witness.  A disconnected highest-level graph raises ``DisconnectedGraph``
-    first.
+    rotation systems are walked lazily in the order of ``_rotation_systems``,
+    a system with another face count is skipped before any signature is
+    built, and the search stops at the first witness.  Every rotation system
+    of a connected graph is a cellular embedding in a closed oriented surface
+    (Heffter-Edmonds), so a system with A faces has the forced genus.  A
+    graph without edges has one empty face.  A disconnected highest-level
+    graph raises ``DisconnectedGraph`` first.
     """
     highest, lowest = level_graphs(order)
-    _require_connected(highest)
+    if len(_linked_components(highest.vertices, highest.endpoint_pairs())) > 1:
+        raise DisconnectedGraph(f"level graph on {highest.vertices} is disconnected")
     if max_genus is None:
         max_genus = len(highest.edges)
     refused = GradientVerdict(
@@ -361,7 +315,8 @@ def check_gradient_like(order: FiniteOrder, max_genus: int | None = None) -> Gra
     )
     face_count = len(lowest.vertices)
     chi = len(highest.vertices) - len(highest.edges) + face_count
-    if chi % 2 or (2 - chi) // 2 > max_genus:
+    genus = (2 - chi) // 2
+    if chi % 2 or genus > max_genus:
         return refused
     around: dict = {a: [] for a in lowest.vertices}
     for label, (u, v) in lowest.edges:
@@ -370,18 +325,21 @@ def check_gradient_like(order: FiniteOrder, max_genus: int | None = None) -> Gra
     attractors = sorted(lowest.vertices, key=lambda a: sorted(around[a]))
     wanted = [sorted(around[a]) for a in attractors]
     labels = [label for label, _ in highest.edges]
-    for emb in _embeddings(highest, max_genus):
-        if emb.face_count != face_count:
+    darts_at = _darts_at(highest)
+    for combo in _rotation_systems([darts_at[v] for v in highest.vertices]):
+        rotation = dict(zip(highest.vertices, combo))
+        faces = _trace_faces(rotation) or ((),)
+        if len(faces) != face_count:
             continue
-        signatures = [sorted(labels[e] for e, _ in face) for face in emb.faces]
+        signatures = [sorted(labels[e] for e, _ in face) for face in faces]
         by_signature = sorted(range(len(signatures)), key=signatures.__getitem__)
         if [signatures[i] for i in by_signature] == wanted:
             attractor_of = dict(zip(by_signature, attractors))
             return GradientVerdict(
                 realizable=True,
-                genus=emb.genus,
+                genus=genus,
                 max_genus_searched=max_genus,
-                embedding=emb,
+                embedding=Embedding(rotation=rotation, faces=faces),
                 face_attractors=tuple(attractor_of[i] for i in range(len(signatures))),
             )
     return refused

@@ -44,7 +44,7 @@ from .errors import (
     MalformedOrder,
     PreconditionViolated,
 )
-from .order import FiniteOrder, check_connectivity, classify, load_order
+from .order import FiniteOrder, check_connectivity, load_order
 
 
 def realize(
@@ -76,7 +76,7 @@ def realize(
     if assignment is None or not core.elements:  # an empty core has no cycles
         assignment = _doubled_euler_cycles(core)
     else:
-        expected = set(classify(core).extremals())
+        expected = set(core.maximal_elements + core.minimal_elements)
         if set(assignment.owners()) != expected:
             raise PreconditionViolated(
                 f"assignment owners {sorted(assignment.owners())} do not"
@@ -169,10 +169,14 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
 
     # the invariants look up every owner in the core order and the assembly
     # every element a transition names; an owner in the core that is not
-    # extremal is reported by the invariants
+    # extremal is reported by the invariants, an extremal one without a
+    # cycle here
     core = _core(order)
-    owners, elements = cert.assignment.owners(), set(core.elements)
-    strays = sorted(set(owners) - elements)
+    owners, elements = set(cert.assignment.owners()), set(core.elements)
+    missing = sorted(set(core.maximal_elements + core.minimal_elements) - owners)
+    if missing:
+        problems.append(f"extremal elements {', '.join(missing)} have no cycle")
+    strays = sorted(owners - elements)
     if strays:
         return problems + [
             f"cycle owners {', '.join(strays)} are not elements of the core order"

@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 
 from smale_orders.census import iter_orders
 from smale_orders.cycles import star_ledger
-from smale_orders.errors import CycleInRelation, IsolatedElement, NotGradientShape
-from smale_orders.gradient import (
-    Embedding,
-    GradientVerdict,
-    LevelGraph,
-    _trace_faces,
-    enumerate_embeddings,
+from smale_orders.errors import (
+    CycleInRelation,
+    DisconnectedGraph,
+    IsolatedElement,
+    NotGradientShape,
 )
+from smale_orders.gradient import GradientVerdict, LevelGraph, _trace_faces
 from smale_orders.order import FiniteOrder, Role, check_connectivity, classify, load_order
 
 
@@ -357,6 +357,52 @@ def oracle_axiom_counts(assignment, order, cycles) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CombinatorialMap:
+    """A rotation system with its traced faces and the genus they give."""
+
+    rotation: dict  # vertex -> tuple of darts (edge index, end)
+    faces: tuple  # tuple of dart tuples
+    genus: int
+
+    @property
+    def face_count(self) -> int:
+        return len(self.faces)
+
+
+def enumerate_embeddings(graph: LevelGraph, max_genus: int | None = None) -> list:
+    """Every rotation system of a connected graph with genus at most the
+    bound (default: the edge count), listed by ``itertools.product`` over
+    each vertex's rotations, its first dart fixed.  A graph without edges
+    has one empty face; a disconnected graph raises ``DisconnectedGraph``."""
+    reached, todo = set(), list(graph.vertices[:1])
+    while todo:
+        v = todo.pop()
+        if v not in reached:
+            reached.add(v)
+            todo += [b if a == v else a for _, (a, b) in graph.edges if v in (a, b)]
+    if len(reached) < len(graph.vertices):
+        raise DisconnectedGraph(f"level graph on {graph.vertices} is disconnected")
+    if max_genus is None:
+        max_genus = len(graph.edges)
+    darts: dict = {v: [] for v in graph.vertices}
+    for idx, (_, (u, v)) in enumerate(graph.edges):
+        darts[u].append((idx, 0))
+        darts[v].append((idx, 1))
+    rotations = [
+        [tuple(ds[:1]) + perm for perm in itertools.permutations(ds[1:])]
+        for ds in (sorted(darts[v]) for v in graph.vertices)
+    ]
+    maps = []
+    for combo in itertools.product(*rotations):
+        rotation = dict(zip(graph.vertices, combo))
+        faces = _trace_faces(rotation) or ((),)
+        genus = (2 - len(graph.vertices) + len(graph.edges) - len(faces)) // 2
+        if genus <= max_genus:
+            maps.append(CombinatorialMap(rotation, faces, genus))
+    return maps
+
+
 def reference_level_graphs(order: FiniteOrder) -> tuple[LevelGraph, LevelGraph]:
     """The level graphs from roles, generations and name sets."""
     roles = classify(order)
@@ -414,7 +460,7 @@ def reference_gradient_verdict(order: FiniteOrder, max_genus: int | None = None)
 # ---------------------------------------------------------------------------
 
 
-def dual_map(embedding: Embedding, graph: LevelGraph) -> Embedding:
+def dual_map(embedding, graph: LevelGraph) -> CombinatorialMap:
     """The dual combinatorial map: faces become vertices, rotation given by
     the face traversal, and the dual's faces are traced the same way."""
     rotation = {f"f{i}": face for i, face in enumerate(embedding.faces) if face}
@@ -425,10 +471,10 @@ def dual_map(embedding: Embedding, graph: LevelGraph) -> Embedding:
     e_count = len(graph.edges)
     f_count = len(faces) if e_count else 1
     genus = (2 - (v_count - e_count + f_count)) // 2
-    return Embedding(rotation=rotation, faces=faces or ((),), genus=genus)
+    return CombinatorialMap(rotation=rotation, faces=faces or ((),), genus=genus)
 
 
-def graph_of_map(embedding: Embedding, graph: LevelGraph) -> LevelGraph:
+def graph_of_map(embedding, graph: LevelGraph) -> LevelGraph:
     """Underlying multigraph of a combinatorial map (edge labels kept)."""
     vertex_of: dict = {}
     for v, darts in embedding.rotation.items():

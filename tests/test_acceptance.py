@@ -36,7 +36,6 @@ from smale_orders.errors import ConnectivityFailure, DisconnectedGraph
 from smale_orders.gradient import (
     check_gradient_like,
     check_necessary,
-    enumerate_embeddings,
     level_graphs,
 )
 from smale_orders.order import load_order
@@ -44,6 +43,7 @@ from smale_orders.pipeline import realize, verify_certificate
 
 from helpers import (
     dual_map,
+    enumerate_embeddings,
     enumerate_type_matchings,
     graph_of_map,
     multigraphs_isomorphic,

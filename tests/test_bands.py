@@ -177,6 +177,17 @@ def test_verify_rejects_plus_two_advance_jump():
     assert any("end = beginning + 1" in p for p in problems)
 
 
+def test_verify_names_an_odd_band_count_in_a_cycle_body():
+    order = diamond_order()
+    assignment = example1_cycles()
+    gluing, cycles = glue_bands(assignment, order)
+    seq = cycles["s2"][0].sequence
+    broken = dict(cycles)
+    broken["s2"] = (BoundaryCycle(saddle="s2", sequence=seq[:3] + seq[:1]),)
+    problems = verify_boundary_cycles(gluing, broken, assignment, order)
+    assert "s2: cycle body has an odd band count 3" in problems
+
+
 def test_verify_rejects_reversed_type_matching():
     order = diamond_order()
     assignment = example1_cycles()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -18,13 +19,13 @@ from smale_orders.gradient import (
     LevelGraph,
     check_gradient_like,
     check_necessary,
-    enumerate_embeddings,
     level_graphs,
 )
 from smale_orders.order import load_order
 
 from helpers import (
     dual_map,
+    enumerate_embeddings,
     graph_of_map,
     multigraphs_isomorphic,
     reference_gradient_verdict,
@@ -191,15 +192,30 @@ def test_rotation_systems_are_produced_lazily():
         }
     )
     highest, _ = level_graphs(five_loops)
+    darts = gradient._darts_at(highest)["A"]
     tracemalloc.start()
     try:
-        first = next(gradient._embeddings(highest, 99))
+        (first,) = next(gradient._rotation_systems([darts]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
-    assert first.rotation["A"] == tuple(sorted(first.rotation["A"]))
+    assert first == tuple(sorted(first))
     assert check_gradient_like(five_loops).genus == 2
+
+
+def test_rotation_systems_follow_the_product_order():
+    """The first witness is the first in this order: ``itertools.product``
+    over each vertex's rotations, its first dart fixed."""
+    for vertices in range(1, 5):
+        for degrees in itertools.product(range(5), repeat=vertices):
+            darts = [tuple((v, k) for k in range(d)) for v, d in enumerate(degrees)]
+            rotations = [
+                [ds[:1] + perm for perm in itertools.permutations(ds[1:])] for ds in darts
+            ]
+            assert list(gradient._rotation_systems(darts)) == list(
+                itertools.product(*rotations)
+            )
 
 
 def test_genus_bound_filters():

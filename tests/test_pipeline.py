@@ -4,7 +4,9 @@ import random
 import pytest
 
 import smale_orders.pipeline as pipeline
-from smale_orders.bands import BoundaryCycle, glue_bands
+from smale_orders.assemble import assemble
+from smale_orders.bands import BandGluing, BoundaryCycle, glue_bands
+from smale_orders.cli import main
 from smale_orders.corpus import IMPOSSIBLE_ORDER, diamond_order, example1_cycles, example_cycles
 from smale_orders.cycles import CycleAssignment, build_initial_cycles
 from smale_orders.errors import ConnectivityFailure, PreconditionViolated
@@ -97,6 +99,17 @@ def test_verify_certificate_reports_saddle_owned_cycle():
     problems = verify_certificate(certificate_from_dict(doc))
     assert "'s1' is a saddle, not an extremal element" in problems
     assert "band ('s1', 0) is in 0 pairs, not 1" in problems
+
+
+def test_verify_cert_names_extremal_elements_without_cycles(tmp_path):
+    """The diamond's certificate with its cycles, gluing and boundary cycles
+    emptied and every summary field re-derived."""
+    empty = CycleAssignment(cycles={})
+    emptied = assemble(diamond_order(), empty, BandGluing(pairs=()), {}, {}, {})
+    cert_path, out = tmp_path / "cert.json", tmp_path / "verify.json"
+    cert_path.write_text(json.dumps(emptied.to_dict()))
+    assert main(["verify-cert", str(cert_path), "-o", str(out)]) == 2
+    assert "extremal elements A, w have no cycle" in json.loads(out.read_text())["problems"]
 
 
 def test_certificates_carry_attribution_fields():
