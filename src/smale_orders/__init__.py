@@ -12,12 +12,10 @@ from .order import (
 )
 from .cycles import (
     CycleAssignment,
-    StarLedger,
     Transition,
     admissible_transitions,
     balance_cycles,
     build_initial_cycles,
-    star_ledger,
 )
 from .bands import (
     BandGluing,
@@ -71,7 +69,6 @@ __all__ = [
     "RepairLog",
     "Role",
     "RoleMap",
-    "StarLedger",
     "Transition",
     "Verdict",
     "ViolationReport",
@@ -92,7 +89,6 @@ __all__ = [
     "plan_plugs",
     "realize",
     "repair_profile",
-    "star_ledger",
     "verify_boundary_cycles",
     "verify_certificate",
 ]

@@ -30,10 +30,11 @@ the bands, so no step rescans all bands per saddle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import PreconditionViolated, StarViolated
-from .order import FiniteOrder, classify
-from .cycles import CycleAssignment, Transition
+from .order import FiniteOrder, _flags
+from .cycles import CycleAssignment, _band_type
 
 BandKey = tuple[str, int]
 
@@ -81,12 +82,6 @@ def bands_of(assignment: CycleAssignment) -> dict:
     }
 
 
-def _group_id(owner: str, t: Transition, attractor_side: bool) -> tuple:
-    if attractor_side:
-        return (owner, t.mediator, t.left, t.right)
-    return (t.mediator, owner, t.left, t.right)
-
-
 def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
     """Match bands across sides and walk out every saddle's boundary cycles.
 
@@ -97,7 +92,8 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
     ``StarViolated`` when some band finds no partner and
     ``PreconditionViolated`` when a four-step walk drifts off the saddle.
     """
-    roles = classify(order)
+    _, saddle_mask, _ = order._role_masks()
+    saddles = sorted(compress(order.elements, _flags(saddle_mask)))
     bands = bands_of(assignment)
     is_attractor = {owner: not order.down_set(owner) for owner in assignment.owners()}
     cycle_len = {owner: len(assignment.cycle(owner)) for owner in assignment.owners()}
@@ -108,7 +104,7 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
     starts: dict = {}
     for key, t in bands.items():
         attr = is_attractor[key[0]]
-        gid = _group_id(key[0], t, attr)
+        gid = _band_type(key[0], t, attr)
         queues.setdefault((gid, 0 if attr else 1), []).append(key)
         if attr:
             starts.setdefault(t.right, []).append(key)
@@ -122,7 +118,7 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
             return partner[key]
         t = bands[key]
         attr = is_attractor[key[0]]
-        gid = _group_id(key[0], t, attr)
+        gid = _band_type(key[0], t, attr)
         for cand in queues.get((gid, 1 if attr else 0), ()):
             if cand not in partner:
                 partner[key] = cand
@@ -131,9 +127,9 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
         raise StarViolated(f"no compatible partner left for band {key} of type {t.key}")
 
     walked: set = set()  # attractor-side beginning bands already walked
-    cycles: dict = {s: [] for s in roles.saddles()}
+    cycles: dict = {s: [] for s in saddles}
 
-    for saddle in roles.saddles():
+    for saddle in saddles:
         for start in starts.get(saddle, ()):
             if start in walked:
                 continue

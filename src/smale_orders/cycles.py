@@ -6,10 +6,10 @@ from a repeller; symmetrically around every repeller.  Combinatorially a
 cycle is a cyclic word of transitions ``left --mediator--> right`` chained so
 that the right saddle of each position is the left saddle of the next.
 
-A collection of cycles is usable for gluing when, for every quadruple
-(attractor, repeller, saddle pair), the counts of the corresponding
-transitions agree across the two sides; ``StarLedger`` tracks those counts
-and :func:`balance_cycles` equalizes them by splicing transition pairs.
+A collection of cycles is usable for gluing when every band type
+(attractor, repeller, ordered saddle pair) holds as many bands on the
+attractor side as on the repeller side; ``_band_type`` names the type, which
+:func:`balance_cycles` equalizes by splicing and ``glue_bands`` matches on.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     NotExtremal,
     PreconditionViolated,
 )
-from .order import FiniteOrder, _flags, check_connectivity, classify
+from .order import FiniteOrder, _flags, check_connectivity
 
 
 @dataclass(frozen=True)
@@ -89,40 +89,6 @@ class CycleAssignment:
                     )
             cycles[owner] = tuple(Transition(a, m, b, owner) for a, m, b in word)
         return CycleAssignment(cycles=cycles)
-
-
-@dataclass(frozen=True)
-class StarLedger:
-    """Transition counts per (attractor, repeller, saddle pair) quadruple.
-
-    Each group holds four counts: both directions on the attractor side and
-    both directions on the repeller side.  A balanced assignment has all four
-    equal within every group.
-    """
-
-    groups: dict
-
-    @property
-    def balanced(self) -> bool:
-        return all(len(set(counts)) == 1 for counts in self.groups.values())
-
-    def unbalanced_groups(self) -> tuple:
-        return tuple(
-            sorted(k for k, counts in self.groups.items() if len(set(counts)) > 1)
-        )
-
-    def deficit(self) -> int:
-        """Total splice work: per group, the gap between the two sides."""
-        total = 0
-        for (om, al, k, l), (a_kl, a_lk, r_kl, r_lk) in self.groups.items():
-            total += abs(a_kl - r_kl)
-        return total
-
-    def to_dict(self) -> dict:
-        return {
-            f"{om}|{al}|{k}|{l}": list(counts)
-            for (om, al, k, l), counts in sorted(self.groups.items())
-        }
 
 
 # --------------------------------------------------------------------------
@@ -289,9 +255,8 @@ def _doubled_euler_cycles(order: FiniteOrder) -> CycleAssignment:
     a repeller (over an attractor) m, so s -m-> s is admissible; an owner
     without one has a related extremal that mediates nothing, and raises.
     """
-    roles = classify(order)
     cycles = {}
-    for owner in roles.extremals():
+    for owner in sorted(order.maximal_elements + order.minimal_elements):
         related = order.up_set(owner) or order.down_set(owner)
         types = sorted(admissible_transitions(order, owner), key=lambda t: t.key)
         mediated = {t.mediator for t in types}
@@ -311,46 +276,16 @@ def _doubled_euler_cycles(order: FiniteOrder) -> CycleAssignment:
 
 
 # --------------------------------------------------------------------------
-# the star ledger and balancing
+# band types and balancing
 # --------------------------------------------------------------------------
 
 
-def _group_key(owner_is_attractor, owner, t):
-    k, l = sorted((t.left, t.right))
-    if owner_is_attractor:
-        return (owner, t.mediator, k, l)
-    return (t.mediator, owner, k, l)
-
-
-def star_ledger(assignment: CycleAssignment, order: FiniteOrder) -> StarLedger:
-    """Count transitions per quadruple, on both sides and in both directions.
-
-    The ledger lists only the quadruples that some transition of the
-    assignment touches.  A quadruple that neither side touches would carry
-    four zero counts, so leaving it out changes neither the balance nor the
-    deficit.
-    """
-    groups: dict = {}
-    for owner in assignment.owners():
-        attractor = not order.down_set(owner)
-        for t in assignment.cycle(owner):
-            counts = groups.setdefault(_group_key(attractor, owner, t), [0, 0, 0, 0])
-            k, l = sorted((t.left, t.right))
-            if k == l:
-                if attractor:
-                    counts[0] += 1
-                    counts[1] = counts[0]
-                else:
-                    counts[2] += 1
-                    counts[3] = counts[2]
-            else:
-                forward = (t.left, t.right) == (k, l)
-                if attractor:
-                    counts[0 if forward else 1] += 1
-                else:
-                    counts[2 if forward else 3] += 1
-
-    return StarLedger(groups={k: tuple(v) for k, v in groups.items()})
+def _band_type(owner: str, t: Transition, attractor_side: bool) -> tuple:
+    """``(attractor, repeller, left, right)`` of the band at a slot: an
+    attractor-side band glues only to a repeller-side band of its type."""
+    if attractor_side:
+        return (owner, t.mediator, t.left, t.right)
+    return (t.mediator, owner, t.left, t.right)
 
 
 def _canonical_start(word) -> int:
@@ -378,30 +313,32 @@ def _anchor_position(word, saddle: str) -> int:
 
 
 def balance_cycles(assignment: CycleAssignment, order: FiniteOrder) -> CycleAssignment:
-    """Equalize transition counts across the two sides of every quadruple.
+    """Give every band type as many attractor-side as repeller-side bands.
 
-    Deficits are resolved in lexicographic group order.  For distinct
-    saddles k, l the deficient cycle receives the chained pair
-    ``k -> l -> k`` (through its own mediator) right after an occurrence of
-    k; for k = l a single self-transition is spliced in.  Each splice
-    preserves chaining and conditions 1 and 2 and reduces the total deficit
-    by one, so the loop inserts exactly the initial deficit.  The result is
-    not re-checked here: ``glue_bands`` finds a perfect matching only for a
-    balanced assignment, and ``realize`` re-checks that matching.
+    Only the types with ``left <= right`` are counted: condition 2, checked
+    first, makes each cycle hold as many ``l -> k`` bands as ``k -> l``
+    ones, so the reverse types have the same gaps.  Gaps are resolved in
+    sorted type order.  For distinct saddles k, l the deficient cycle
+    receives the chained pair ``k -> l -> k`` (through its own mediator)
+    right after an occurrence of k; for k = l a single self-transition is
+    spliced in.  Each splice preserves chaining and conditions 1 and 2 and
+    closes one unit of one gap, so the loop inserts exactly the initial
+    gaps.  The result is not re-checked here: ``glue_bands`` finds a perfect
+    matching only for a balanced assignment, and ``realize`` re-checks that
+    matching.
     """
     validate_assignment(assignment, order)
     cycles = {owner: list(assignment.cycle(owner)) for owner in assignment.owners()}
-    ledger = star_ledger(assignment, order)
-    for key in sorted(ledger.groups):
-        om, al, k, l = key
-        a_kl, a_lk, r_kl, r_lk = ledger.groups[key]
-        if a_kl == r_kl:
-            continue
-        if a_kl > r_kl:
-            target, mediator, need = al, om, a_kl - r_kl
-        else:
-            target, mediator, need = om, al, r_kl - a_kl
-        for _ in range(need):
+    gaps: dict = {}  # band type -> attractor-side minus repeller-side bands
+    for owner, word in cycles.items():
+        attractor = not order.down_set(owner)
+        for t in word:
+            if t.left <= t.right:
+                key = _band_type(owner, t, attractor)
+                gaps[key] = gaps.get(key, 0) + (1 if attractor else -1)
+    for (om, al, k, l), gap in sorted(gaps.items()):
+        target, mediator = (al, om) if gap > 0 else (om, al)
+        for _ in range(abs(gap)):
             word = cycles[target]
             pos = _anchor_position(word, k)
             if k == l:

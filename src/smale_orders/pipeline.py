@@ -73,7 +73,7 @@ def realize(
         )
 
     core = _core(order)
-    if assignment is None or not core.elements:  # an empty core has no cycles
+    if assignment is None:
         assignment = _doubled_euler_cycles(core)
     else:
         expected = set(core.maximal_elements + core.minimal_elements)

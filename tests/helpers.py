@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from smale_orders.census import iter_orders
-from smale_orders.cycles import star_ledger
+from smale_orders.cycles import (
+    CycleAssignment,
+    Transition,
+    admissible_transitions,
+    build_initial_cycles,
+)
 from smale_orders.errors import (
     CycleInRelation,
     DisconnectedGraph,
@@ -237,6 +242,90 @@ def product_admissible(order: FiniteOrder, owner: str) -> set:
         for m in mediators
         if (k, m) in rel and (l, m) in rel
     }
+
+
+# ---------------------------------------------------------------------------
+# independent star ledger
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StarLedger:
+    """Transition counts per (attractor, repeller, saddle pair) quadruple.
+
+    Each group holds four counts: both directions on the attractor side and
+    both directions on the repeller side.  A balanced assignment has all four
+    equal within every group.
+    """
+
+    groups: dict
+
+    @property
+    def balanced(self) -> bool:
+        return all(len(set(counts)) == 1 for counts in self.groups.values())
+
+    def unbalanced_groups(self) -> tuple:
+        return tuple(
+            sorted(k for k, counts in self.groups.items() if len(set(counts)) > 1)
+        )
+
+    def deficit(self) -> int:
+        """Total splice work: per group, the gap between the two sides."""
+        return sum(abs(a_kl - r_kl) for a_kl, _, r_kl, _ in self.groups.values())
+
+    def to_dict(self) -> dict:
+        return {
+            f"{om}|{al}|{k}|{l}": list(counts)
+            for (om, al, k, l), counts in sorted(self.groups.items())
+        }
+
+
+def star_ledger(assignment, order) -> StarLedger:
+    """Count transitions per quadruple, on both sides and in both directions.
+
+    The ledger lists only the quadruples that some transition of the
+    assignment touches; one that neither side touches would carry four zero
+    counts.  A self transition counts in both directions of its side.
+    """
+    groups: dict = {}
+    for owner in assignment.owners():
+        attractor = not order.down_set(owner)
+        for t in assignment.cycle(owner):
+            k, l = sorted((t.left, t.right))
+            key = (owner, t.mediator, k, l) if attractor else (t.mediator, owner, k, l)
+            counts = groups.setdefault(key, [0, 0, 0, 0])
+            side = 0 if attractor else 2
+            if k == l:
+                counts[side] += 1
+                counts[side + 1] = counts[side]
+            else:
+                counts[side + (t.left != k)] += 1
+    return StarLedger(groups={k: tuple(v) for k, v in groups.items()})
+
+
+def injected_assignment(order, rng: random.Random):
+    """The built cycles of ``order`` with 1-3 chained pairs (or single self
+    transitions) spliced in at random: conditions 1 and 2 still hold, the
+    star balance in general does not."""
+    built = build_initial_cycles(order)
+    cycles = {o: list(built.cycle(o)) for o in built.owners()}
+    for _ in range(rng.randrange(1, 4)):
+        owner = rng.choice(sorted(cycles))
+        word = cycles[owner]
+        pos = rng.randrange(len(word))
+        anchor = word[pos].right
+        partners = sorted(
+            {t.key for t in admissible_transitions(order, owner) if t.left == anchor}
+        )
+        _, mediator, right = rng.choice(partners)
+        pair = [
+            Transition(anchor, mediator, right, owner),
+            Transition(right, mediator, anchor, owner),
+        ]
+        if anchor == right:
+            pair = pair[:1]
+        word[pos + 1 : pos + 1] = pair
+    return CycleAssignment(cycles={o: tuple(w) for o, w in cycles.items()})
 
 
 def verify_star(assignment, order):

@@ -19,11 +19,9 @@ from smale_orders.corpus import (
 from smale_orders.cycles import (
     CycleAssignment,
     Transition,
-    admissible_transitions,
     assignment_problems,
     balance_cycles,
     build_initial_cycles,
-    star_ledger,
 )
 from smale_orders.domains import (
     LengthProfile,
@@ -46,8 +44,10 @@ from helpers import (
     enumerate_embeddings,
     enumerate_type_matchings,
     graph_of_map,
+    injected_assignment,
     multigraphs_isomorphic,
     oracle_axiom_counts,
+    star_ledger,
     usable_orders,
     verify_star,
     walk_boundaries,
@@ -177,29 +177,7 @@ def test_criterion_6_balancing():
     runs = 0
     while runs < 500:
         order = rng.choice(orders)
-        built = build_initial_cycles(order)
-        cycles = {o: list(built.cycle(o)) for o in built.owners()}
-        for _ in range(rng.randrange(1, 4)):
-            owner = rng.choice(sorted(cycles))
-            word = cycles[owner]
-            pos = rng.randrange(len(word))
-            anchor = word[pos].right
-            choices = sorted(
-                {
-                    t.key
-                    for t in admissible_transitions(order, owner)
-                    if t.left == anchor
-                }
-            )
-            left, mediator, right = rng.choice(choices)
-            pair = [
-                Transition(left, mediator, right, owner),
-                Transition(right, mediator, left, owner),
-            ]
-            if left == right:
-                pair = pair[:1]
-            word[pos + 1 : pos + 1] = pair
-        assignment = CycleAssignment(cycles={o: tuple(w) for o, w in cycles.items()})
+        assignment = injected_assignment(order, rng)
         if assignment_problems(assignment, order):
             continue
         before = star_ledger(assignment, order)

@@ -239,6 +239,24 @@ def test_verify_cert_empty_boundary_cycle_is_a_refusal(corpus_dir, tmp_path):
     assert "s1: cycle does not close on its first band" in problems
 
 
+def test_realize_refuses_cycles_on_an_empty_core(corpus_dir, tmp_path, capsys):
+    # p > q is one north-south pair, so its core has no extremal elements
+    # and no owner of a supplied cycle file is one
+    order = tmp_path / "pq.json"
+    order.write_text(json.dumps({"elements": ["p", "q"], "relations": [["p", "q"]]}))
+    out = tmp_path / "cert.json"
+    cycles = corpus_dir / "example1.cycles.json"
+    assert run_cli("realize", str(order), "--cycles", str(cycles), "-o", str(out)) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: assignment owners ['A', 'w'] do not match the extremal elements []\n"
+    )
+    empty = tmp_path / "empty.cycles.json"
+    empty.write_text("{}")
+    assert run_cli("realize", str(order), "--cycles", str(empty), "-o", str(out)) == 0
+    assert json.loads(out.read_text())["cycles"] == {}
+
+
 def test_verify_cert_reports_cycles_of_an_owner_outside_the_core(corpus_dir, tmp_path):
     cert_path = tmp_path / "cert.json"
     run_cli("realize", str(corpus_dir / "example1.json"), "-o", str(cert_path))

@@ -15,7 +15,6 @@ from smale_orders.cycles import (
     assignment_problems,
     balance_cycles,
     build_initial_cycles,
-    star_ledger,
     validate_assignment,
 )
 from smale_orders.errors import (
@@ -26,7 +25,14 @@ from smale_orders.errors import (
 )
 from smale_orders.order import load_order
 
-from helpers import oracle_admissible, product_admissible, usable_orders, verify_star
+from helpers import (
+    injected_assignment,
+    oracle_admissible,
+    product_admissible,
+    star_ledger,
+    usable_orders,
+    verify_star,
+)
 
 CHAIN3 = load_order({"elements": ["A", "s", "w"], "relations": [["A", "s"], ["s", "w"]]})
 
@@ -245,29 +251,8 @@ def test_splice_count_equals_initial_deficit_with_injections():
     orders = [o for o in usable_orders(5)]
     for _ in range(60):
         order = rng.choice(orders)
-        built = build_initial_cycles(order)
-        cycles = {o: list(built.cycle(o)) for o in built.owners()}
         # inject symmetric pairs (preserves conditions 1 and 2, breaks balance)
-        injections = rng.randrange(1, 4)
-        for _ in range(injections):
-            owner = rng.choice(sorted(cycles))
-            word = cycles[owner]
-            pos = rng.randrange(len(word))
-            anchor = word[pos].right
-            partners = sorted(
-                {t.key for t in admissible_transitions(order, owner) if t.left == anchor}
-            )
-            left, mediator, right = rng.choice(partners)
-            pair = [
-                Transition(anchor, mediator, right, owner),
-                Transition(right, mediator, anchor, owner),
-            ]
-            if anchor == right:
-                pair = pair[:1]
-            word[pos + 1 : pos + 1] = pair
-        assignment = CycleAssignment(
-            cycles={o: tuple(w) for o, w in cycles.items()}
-        )
+        assignment = injected_assignment(order, rng)
         assert assignment_problems(assignment, order) == []
         before = star_ledger(assignment, order)
         deficit = before.deficit()

@@ -9,11 +9,11 @@ from collections import Counter
 from smale_orders.assemble import assemble
 from smale_orders.bands import BandGluing, BoundaryCycle, bands_of
 from smale_orders.cli import main
-from smale_orders.cycles import CycleAssignment, star_ledger
+from smale_orders.cycles import CycleAssignment
 from smale_orders.order import load_order
 from smale_orders.pipeline import _domain, realize, verify_certificate
 
-from helpers import usable_orders
+from helpers import star_ledger, usable_orders
 
 
 def test_invented_gluing_without_cycles_is_refused(tmp_path):

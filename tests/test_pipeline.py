@@ -8,12 +8,12 @@ from smale_orders.assemble import assemble
 from smale_orders.bands import BandGluing, BoundaryCycle, glue_bands
 from smale_orders.cli import main
 from smale_orders.corpus import IMPOSSIBLE_ORDER, diamond_order, example1_cycles, example_cycles
-from smale_orders.cycles import CycleAssignment, build_initial_cycles
+from smale_orders.cycles import CycleAssignment, balance_cycles, build_initial_cycles
 from smale_orders.errors import ConnectivityFailure, PreconditionViolated
 from smale_orders.order import check_connectivity, from_down_sets, load_order
 from smale_orders.pipeline import certificate_from_dict, realize, verify_certificate
 
-from helpers import usable_orders, verify_star
+from helpers import injected_assignment, usable_orders, verify_star
 
 
 def test_round_trip_serialization_is_bit_exact():
@@ -83,6 +83,20 @@ def test_build_and_realize_on_random_larger_orders():
         assert verify_certificate(cert) == []
         found += 1
     assert found == 40
+
+
+def test_realize_balances_injected_assignments():
+    """``realize`` glues exactly what ``balance_cycles`` returns, and that is
+    balanced by the independent ledger."""
+    rng = random.Random(14)
+    orders = usable_orders(5)
+    for _ in range(100):
+        order = rng.choice(orders)
+        assignment = injected_assignment(order, rng)
+        cert = realize(order, assignment)
+        assert verify_certificate(cert) == []
+        assert cert.assignment == balance_cycles(assignment, order)
+        assert verify_star(cert.assignment, order)[1]
 
 
 def test_verify_certificate_flags_tampered_fields():

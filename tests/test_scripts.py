@@ -1,6 +1,8 @@
-"""The census scripts run end to end and print the known small-order counts."""
+"""The census scripts run end to end and print the known small-order counts,
+and the README shows only the library names the package exports."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,3 +152,12 @@ def test_script_counts(script, args, expected):
     body, elapsed = proc.stdout.rsplit("elapsed ", 1)
     assert body == expected
     assert elapsed.endswith("s\n")
+
+
+def test_readme_library_surface_is_exported():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library surface", 1)[1]
+    imported = re.search(r"from smale_orders import \((.*?)\)", block, re.S).group(1)
+    names = re.findall(r"\w+", re.sub(r"#.*", "", imported))
+    assert names
+    assert sorted(set(names) - set(smale_orders.__all__)) == []
