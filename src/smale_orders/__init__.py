@@ -18,8 +18,6 @@ from .cycles import (
     build_initial_cycles,
 )
 from .bands import (
-    BandGluing,
-    BoundaryCycle,
     boundary_profile,
     glue_bands,
     verify_boundary_cycles,
@@ -50,11 +48,9 @@ from .gradient import (
 )
 from .pipeline import certificate_from_dict, realize, verify_certificate
 
-__version__ = "0.1.0"
+from .assemble import TOOL_VERSION as __version__
 
 __all__ = [
-    "BandGluing",
-    "BoundaryCycle",
     "ConnectivityReport",
     "CycleAssignment",
     "DomainSpec",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bands import BandGluing, BoundaryCycle
 from .cycles import CycleAssignment
 from .domains import DomainSpec, RepairLog
 from .order import FiniteOrder, Role, RoleMap, _linked_components, classify
@@ -47,8 +46,8 @@ class RealizationCertificate:
     order: FiniteOrder
     roles: RoleMap
     assignment: CycleAssignment
-    gluing: BandGluing
-    boundary: dict  # saddle -> tuple[BoundaryCycle, ...]
+    gluing: tuple  # sorted ((attractor band key, repeller band key), ...)
+    boundary: dict  # saddle -> boundary cycles, band-key tuples closing on their first key
     domains: dict  # saddle -> DomainSpec
     repairs: dict  # saddle -> RepairLog
     north_south: tuple
@@ -73,9 +72,9 @@ class RealizationCertificate:
             "roles": {e: r.value for e, r in sorted(self.roles.roles.items())},
             "generations": dict(sorted(self.roles.generations.items())),
             "cycles": self.assignment.to_dict(),
-            "gluing": self.gluing.to_list(),
+            "gluing": [[list(a), list(b)] for a, b in self.gluing],
             "boundary_cycles": {
-                s: [c.to_list() for c in cs] for s, cs in sorted(self.boundary.items())
+                s: [[list(k) for k in c] for c in cs] for s, cs in sorted(self.boundary.items())
             },
             "profiles": {
                 s: list(spec.profile.lengths) for s, spec in sorted(self.domains.items())
@@ -125,7 +124,7 @@ def _chi_of(domains, repairs, vertex_count, edge_count, handle_count):
 def assemble(
     order: FiniteOrder,
     assignment: CycleAssignment,
-    gluing: BandGluing,
+    gluing: tuple,
     boundary: dict,
     domains: dict,
     repairs: dict,
@@ -147,7 +146,7 @@ def assemble(
     north_south = order.north_south_pairs
     handle_pairs = order.saddle_cover_pairs
     vertex_count = len(roles.extremals())
-    edge_count = len(gluing.pairs)
+    edge_count = len(gluing)
     extra = sum(log.extra_band_pairs for log in repairs.values())
     chi = _chi_of(domains, repairs, vertex_count, edge_count, len(handle_pairs))
 
@@ -156,7 +155,7 @@ def assemble(
     for comp in comps:
         comp_set = set(comp)
         v = sum(1 for e in comp if roles.roles[e] is not Role.SADDLE)
-        e_cnt = sum(1 for a, b in gluing.pairs if a[0] in comp_set)
+        e_cnt = sum(1 for a, b in gluing if a[0] in comp_set)
         h = sum(1 for a, b in handle_pairs if a in comp_set)
         comp_domains = {s: domains[s] for s in domains if s in comp_set}
         comp_repairs = {s: repairs[s] for s in repairs if s in comp_set}

@@ -3,7 +3,10 @@
 Every transition slot in an extremal element's cycle is a band: one half of
 a translation band running from a repeller down to an attractor.  A band is
 named by its key ``(owner, index)`` and is the cycle's own ``Transition`` at
-that slot.  Gluing matches each attractor-side band with a repeller-side
+that slot.  The results are plain tuples too: the gluing is the sorted tuple
+of ``(attractor band key, repeller band key)`` pairs, and a boundary cycle is
+the tuple of the band keys its walk visits, its first key repeated at the
+end.  Gluing matches each attractor-side band with a repeller-side
 band of the same type (same ordered saddle pair, mediators crossed).  For
 cycles satisfying conditions 1 and 2 such a perfect matching exists exactly
 when the star balance holds, so the matching itself detects an unbalanced
@@ -29,7 +32,6 @@ the bands, so no step rescans all bands per saddle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
 from .errors import PreconditionViolated, StarViolated
@@ -37,36 +39,6 @@ from .order import FiniteOrder, _flags
 from .cycles import CycleAssignment, _band_type
 
 BandKey = tuple[str, int]
-
-
-@dataclass(frozen=True)
-class BandGluing:
-    """Perfect matching of attractor-side bands with repeller-side bands."""
-
-    pairs: tuple  # ((attractor band key, repeller band key), ...) sorted
-
-    def to_list(self) -> list:
-        return [[list(a), list(b)] for a, b in self.pairs]
-
-
-@dataclass(frozen=True)
-class BoundaryCycle:
-    """One boundary component of a saddle's domain.
-
-    The sequence alternates glue-steps and advance-steps and repeats its
-    first band at the end; the length (glued pairs per circuit) is the number
-    of elements after identifying the endpoints, divided by two.
-    """
-
-    saddle: str
-    sequence: tuple  # band keys, first repeated at the end
-
-    @property
-    def length(self) -> int:
-        return (len(self.sequence) - 1) // 2
-
-    def to_list(self) -> list:
-        return [list(k) for k in self.sequence]
 
 
 def bands_of(assignment: CycleAssignment) -> dict:
@@ -124,7 +96,7 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
                 partner[key] = cand
                 partner[cand] = key
                 return cand
-        raise StarViolated(f"no compatible partner left for band {key} of type {t.key}")
+        raise StarViolated(f"no compatible partner left for band {key} of type {t}")
 
     walked: set = set()  # attractor-side beginning bands already walked
     cycles: dict = {s: [] for s in saddles}
@@ -149,23 +121,30 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
                     seq += [glued, cur]
                 if cur == start:
                     break
-            cycles[saddle].append(BoundaryCycle(saddle=saddle, sequence=tuple(seq)))
+            cycles[saddle].append(tuple(seq))
 
     unmatched = sorted(k for k in bands if k not in partner)
     if unmatched:
         raise StarViolated(f"bands left unmatched: {unmatched}")
 
-    pairs = tuple(sorted((a, partner[a]) for a in bands if is_attractor[a[0]]))
-    return BandGluing(pairs=pairs), {s: tuple(cs) for s, cs in cycles.items()}
+    gluing = tuple(sorted((a, partner[a]) for a in bands if is_attractor[a[0]]))
+    return gluing, {s: tuple(cs) for s, cs in cycles.items()}
+
+
+def _length(cycle: tuple) -> int:
+    """Glued pairs per circuit of a boundary cycle: its band keys after
+    identifying the repeated endpoint, divided by two (glue and advance
+    steps alternate)."""
+    return (len(cycle) - 1) // 2
 
 
 def boundary_profile(cycles) -> tuple[int, ...]:
     """Multiset of boundary cycle lengths, largest first."""
-    return tuple(sorted((c.length for c in cycles), reverse=True))
+    return tuple(sorted(map(_length, cycles), reverse=True))
 
 
 def verify_boundary_cycles(
-    gluing: BandGluing,
+    gluing: tuple,
     cycles: dict,
     assignment: CycleAssignment,
     order: FiniteOrder,
@@ -190,7 +169,7 @@ def verify_boundary_cycles(
 
     partner: dict = {}  # a key in several pairs: the last pair wins
     seen_in_pairs: dict = {}
-    for a, b in gluing.pairs:
+    for a, b in gluing:
         partner[a], partner[b] = b, a
         unknown = [k for k in (a, b) if k not in bands]
         problems += [f"matching references unknown band {k}" for k in unknown]
@@ -200,7 +179,7 @@ def verify_boundary_cycles(
             problems.append(f"pair {a}~{b} does not join the two sides")
         ta, tb = bands[a], bands[b]
         if (ta.left, ta.right) != (tb.left, tb.right):
-            problems.append(f"pair {a}~{b} joins incompatible types {ta.key} / {tb.key}")
+            problems.append(f"pair {a}~{b} joins incompatible types {ta} / {tb}")
         if ta.mediator != b[0] or tb.mediator != a[0]:
             problems.append(f"pair {a}~{b} crosses the wrong extremal pair")
         for k in (a, b):
@@ -212,16 +191,16 @@ def verify_boundary_cycles(
     total_len = 0
     for saddle in sorted(cycles):
         appearances: dict = {}
-        for cyc in cycles[saddle]:
-            seq = cyc.sequence
+        for seq in cycles[saddle]:
             if len(seq) < 3 or seq[0] != seq[-1]:
                 problems.append(f"{saddle}: cycle does not close on its first band")
                 continue
             if len(seq) % 2 == 0:
                 problems.append(f"{saddle}: cycle body has an odd band count {len(seq) - 1}")
-            if cyc.length % 2 != 0:
-                problems.append(f"{saddle}: odd boundary length {cyc.length}")
-            total_len += cyc.length
+            length = _length(seq)
+            if length % 2 != 0:
+                problems.append(f"{saddle}: odd boundary length {length}")
+            total_len += length
             body = seq[:-1]
             for key in body:
                 if key not in bands:
@@ -229,7 +208,7 @@ def verify_boundary_cycles(
                     break
                 t = bands[key]
                 if saddle not in (t.left, t.right):
-                    problems.append(f"{saddle}: band {key} of type {t.key} unrelated")
+                    problems.append(f"{saddle}: band {key} of type {t} unrelated")
                 appearances[key] = appearances.get(key, 0) + 1
             else:
                 for i in range(len(seq) - 1):

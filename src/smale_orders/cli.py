@@ -281,7 +281,7 @@ def _run_export_dot(args: argparse.Namespace, order) -> int:
     try:
         certificate = realize(order, assignment)
         write("bands", band_incidence_dot(certificate))
-    except (ConnectivityFailure, PreconditionViolated):
+    except ConnectivityFailure:  # no bands to draw; a refused cycle file exits 1
         pass
 
     try:

@@ -79,15 +79,15 @@ def diamond_order() -> FiniteOrder:
     return load_order(DIAMOND)
 
 
-def _cycle(owner: str, mediator: str, pattern: list[tuple[str, str]]):
-    return tuple(Transition(left=a, mediator=mediator, right=b, owner=owner) for a, b in pattern)
+def _cycle(mediator: str, pattern: list[tuple[str, str]]):
+    return tuple(Transition(a, mediator, b) for a, b in pattern)
 
 
 def example1_cycles() -> CycleAssignment:
     """Minimal length-2 cycles around w and A; realizes on the sphere."""
     ab = [("s1", "s2"), ("s2", "s1")]
     return CycleAssignment(
-        cycles={"w": _cycle("w", "A", ab), "A": _cycle("A", "w", ab)}
+        cycles={"w": _cycle("A", ab), "A": _cycle("w", ab)}
     )
 
 
@@ -95,7 +95,7 @@ def example_cycles() -> CycleAssignment:
     """Length-4 cycles around w and A; realizes on the torus."""
     abab = [("s1", "s2"), ("s2", "s1")] * 2
     return CycleAssignment(
-        cycles={"w": _cycle("w", "A", abab), "A": _cycle("A", "w", abab)}
+        cycles={"w": _cycle("A", abab), "A": _cycle("w", abab)}
     )
 
 

@@ -4,7 +4,10 @@ Around every attractor the saddle domains related to it appear in a cyclic
 order, consecutive domains being separated by a translation band coming down
 from a repeller; symmetrically around every repeller.  Combinatorially a
 cycle is a cyclic word of transitions ``left --mediator--> right`` chained so
-that the right saddle of each position is the left saddle of the next.
+that the right saddle of each position is the left saddle of the next.  A
+transition is a plain ``(left, mediator, right)`` triple: the owner is the
+key its cycle is stored under, so the triple is also its type, and it hashes,
+compares, sorts and prints as that tuple.
 
 A collection of cycles is usable for gluing when every band type
 (attractor, repeller, ordered saddle pair) holds as many bands on the
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import (
     ConnectivityFailure,
@@ -27,8 +31,7 @@ from .errors import (
 from .order import FiniteOrder, _flags, check_connectivity
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One band slot in an extremal element's cycle.
 
     For an attractor-owned cycle the mediator is a repeller above both
@@ -38,14 +41,11 @@ class Transition:
     left: str
     mediator: str
     right: str
-    owner: str
 
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.left, self.mediator, self.right)
+    __repr__ = tuple.__repr__  # messages print the bare triple
 
     def reversed(self) -> "Transition":
-        return Transition(self.right, self.mediator, self.left, self.owner)
+        return Transition(self.right, self.mediator, self.left)
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,7 @@ class CycleAssignment:
         return sum(len(c) for c in self.cycles.values())
 
     def to_dict(self) -> dict:
-        return {
-            owner: [[t.left, t.mediator, t.right] for t in self.cycles[owner]]
-            for owner in self.owners()
-        }
+        return {owner: [list(t) for t in self.cycles[owner]] for owner in self.owners()}
 
     @staticmethod
     def from_dict(data: dict) -> "CycleAssignment":
@@ -87,7 +84,7 @@ class CycleAssignment:
                     raise MalformedCycles(
                         f"{owner}[{i}]: expected a [left, mediator, right] triple"
                     )
-            cycles[owner] = tuple(Transition(a, m, b, owner) for a, m, b in word)
+            cycles[owner] = tuple(Transition(a, m, b) for a, m, b in word)
         return CycleAssignment(cycles=cycles)
 
 
@@ -120,7 +117,7 @@ def admissible_transitions(order: FiniteOrder, owner: str) -> frozenset[Transiti
     names, related = order.elements, _flags(far[i] & saddle_mask)
     saddles = list(zip(compress(names, related), compress(far, related)))
     return frozenset(
-        Transition(k, m, l, owner)
+        Transition(k, m, l)
         for k, far_k in saddles
         for l, far_l in saddles
         for m in compress(names, _flags(far_k & far_l & ends))
@@ -153,12 +150,9 @@ def assignment_problems(assignment: CycleAssignment, order: FiniteOrder) -> list
         except NotExtremal as exc:
             problems.append(str(exc))
             continue
-        admissible_keys = {t.key for t in admissible}
         for i, t in enumerate(word):
-            if t.owner != owner:
-                problems.append(f"{owner}[{i}]: transition owned by {t.owner}")
-            if t.key not in admissible_keys:
-                problems.append(f"{owner}[{i}]: inadmissible transition {t.key}")
+            if t not in admissible:
+                problems.append(f"{owner}[{i}]: inadmissible transition {t}")
         n = len(word)
         for i, t in enumerate(word):
             nxt = word[(i + 1) % n]
@@ -177,10 +171,10 @@ def assignment_problems(assignment: CycleAssignment, order: FiniteOrder) -> list
                 problems.append(f"{owner}: related extremal {e} never mediates")
         counts: dict = {}
         for t in word:
-            counts[t.key] = counts.get(t.key, 0) + 1
-        for t in sorted(admissible, key=lambda t: t.key):
-            if t.left != t.right and counts.get(t.key, 0) == 0:
-                problems.append(f"{owner}: admissible type {t.key} missing (condition 1)")
+            counts[t] = counts.get(t, 0) + 1
+        for t in sorted(admissible):
+            if t.left != t.right and t not in counts:
+                problems.append(f"{owner}: admissible type {t} missing (condition 1)")
         for (k, m, l), c in sorted(counts.items()):
             if k < l and c != counts.get((l, m, k), 0):
                 problems.append(
@@ -258,7 +252,7 @@ def _doubled_euler_cycles(order: FiniteOrder) -> CycleAssignment:
     cycles = {}
     for owner in sorted(order.maximal_elements + order.minimal_elements):
         related = order.up_set(owner) or order.down_set(owner)
-        types = sorted(admissible_transitions(order, owner), key=lambda t: t.key)
+        types = sorted(admissible_transitions(order, owner))
         mediated = {t.mediator for t in types}
         for e in sorted(related):
             extremal = not (order.up_set(e) and order.down_set(e))
@@ -290,11 +284,10 @@ def _band_type(owner: str, t: Transition, attractor_side: bool) -> tuple:
 
 def _canonical_start(word) -> int:
     """Index starting the lexicographically least rotation of the cycle."""
-    keys = [t.key for t in word]
-    n = len(keys)
-    best, best_rot = 0, keys
+    n = len(word)
+    best, best_rot = 0, word
     for i in range(1, n):
-        rot = keys[i:] + keys[:i]
+        rot = word[i:] + word[:i]
         if rot < best_rot:
             best, best_rot = i, rot
     return best
@@ -315,6 +308,8 @@ def _anchor_position(word, saddle: str) -> int:
 def balance_cycles(assignment: CycleAssignment, order: FiniteOrder) -> CycleAssignment:
     """Give every band type as many attractor-side as repeller-side bands.
 
+    The assignment must hold one cycle per extremal element outside the
+    north-south pairs, and no other; then the cycle conditions are checked.
     Only the types with ``left <= right`` are counted: condition 2, checked
     first, makes each cycle hold as many ``l -> k`` bands as ``k -> l``
     ones, so the reverse types have the same gaps.  Gaps are resolved in
@@ -327,6 +322,13 @@ def balance_cycles(assignment: CycleAssignment, order: FiniteOrder) -> CycleAssi
     matching only for a balanced assignment, and ``realize`` re-checks that
     matching.
     """
+    ns_elements = {e for pair in order.north_south_pairs for e in pair}
+    expected = set(order.maximal_elements + order.minimal_elements) - ns_elements
+    if set(assignment.owners()) != expected:
+        raise PreconditionViolated(
+            f"assignment owners {sorted(assignment.owners())} do not"
+            f" match the extremal elements {sorted(expected)}"
+        )
     validate_assignment(assignment, order)
     cycles = {owner: list(assignment.cycle(owner)) for owner in assignment.owners()}
     gaps: dict = {}  # band type -> attractor-side minus repeller-side bands
@@ -342,11 +344,8 @@ def balance_cycles(assignment: CycleAssignment, order: FiniteOrder) -> CycleAssi
             word = cycles[target]
             pos = _anchor_position(word, k)
             if k == l:
-                insert = [Transition(k, mediator, k, target)]
+                insert = [Transition(k, mediator, k)]
             else:
-                insert = [
-                    Transition(k, mediator, l, target),
-                    Transition(l, mediator, k, target),
-                ]
+                insert = [Transition(k, mediator, l), Transition(l, mediator, k)]
             word[pos + 1 : pos + 1] = insert
     return CycleAssignment(cycles={owner: tuple(word) for owner, word in cycles.items()})

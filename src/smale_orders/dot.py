@@ -56,7 +56,7 @@ def band_incidence_dot(certificate: RealizationCertificate) -> str:
     lines = ["graph bands {"]
     for e in certificate.roles.extremals():
         lines.append(f"  {_quote(e)};")
-    for (a_owner, a_idx), (r_owner, r_idx) in certificate.gluing.pairs:
+    for (a_owner, a_idx), (r_owner, r_idx) in certificate.gluing:
         t = assignment.cycle(a_owner)[a_idx]
         pair = tuple(sorted((t.left, t.right)))
         label = f"{t.left}>{t.right} [{a_owner}:{a_idx}|{r_owner}:{r_idx}]"

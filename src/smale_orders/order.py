@@ -178,12 +178,6 @@ class RoleMap:
     roles: dict
     generations: dict
 
-    def repellers(self) -> tuple[str, ...]:
-        return tuple(sorted(e for e, r in self.roles.items() if r is Role.REPELLER))
-
-    def attractors(self) -> tuple[str, ...]:
-        return tuple(sorted(e for e, r in self.roles.items() if r is Role.ATTRACTOR))
-
     def saddles(self) -> tuple[str, ...]:
         return tuple(sorted(e for e, r in self.roles.items() if r is Role.SADDLE))
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from .assemble import RealizationCertificate, assemble
-from .bands import BandGluing, BoundaryCycle, boundary_profile, glue_bands, verify_boundary_cycles
+from .bands import boundary_profile, glue_bands, verify_boundary_cycles
 from .cycles import CycleAssignment, _doubled_euler_cycles, assignment_problems, balance_cycles
 from .domains import (
     DomainSpec,
@@ -42,7 +42,6 @@ from .errors import (
     MalformedCertificate,
     MalformedCycles,
     MalformedOrder,
-    PreconditionViolated,
 )
 from .order import FiniteOrder, check_connectivity, load_order
 
@@ -76,12 +75,6 @@ def realize(
     if assignment is None:
         assignment = _doubled_euler_cycles(core)
     else:
-        expected = set(core.maximal_elements + core.minimal_elements)
-        if set(assignment.owners()) != expected:
-            raise PreconditionViolated(
-                f"assignment owners {sorted(assignment.owners())} do not"
-                f" match the extremal elements {sorted(expected)}"
-            )
         assignment = balance_cycles(assignment, core)
     gluing, boundary = glue_bands(assignment, core)
 
@@ -181,7 +174,7 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
         return problems + [
             f"cycle owners {', '.join(strays)} are not elements of the core order"
         ]
-    named = {e for owner in owners for t in cert.assignment.cycle(owner) for e in t.key}
+    named = {e for owner in owners for t in cert.assignment.cycle(owner) for e in t}
     strays = sorted(named - elements)
     if strays:
         return problems + [
@@ -280,16 +273,11 @@ def certificate_from_dict(data: dict) -> RealizationCertificate:
         if len(pair) != 2:
             raise MalformedCertificate(f"gluing[{i}]: expected a pair of band keys")
         pairs.append(tuple(_band_key(k, f"gluing[{i}][{j}]") for j, k in enumerate(pair)))
-    gluing = BandGluing(pairs=tuple(sorted(pairs)))
+    gluing = tuple(sorted(pairs))
     boundary_docs = _field(data, "boundary_cycles", dict)
     boundary = {
         s: tuple(
-            BoundaryCycle(
-                saddle=s,
-                sequence=tuple(
-                    _band_key(k, f"boundary_cycles.{s}[{i}][{j}]") for j, k in enumerate(seq)
-                ),
-            )
+            tuple(_band_key(k, f"boundary_cycles.{s}[{i}][{j}]") for j, k in enumerate(seq))
             for i, seq in enumerate(_items(boundary_docs, s, list, "boundary_cycles"))
         )
         for s in boundary_docs

@@ -315,12 +315,12 @@ def injected_assignment(order, rng: random.Random):
         pos = rng.randrange(len(word))
         anchor = word[pos].right
         partners = sorted(
-            {t.key for t in admissible_transitions(order, owner) if t.left == anchor}
+            {t for t in admissible_transitions(order, owner) if t.left == anchor}
         )
         _, mediator, right = rng.choice(partners)
         pair = [
-            Transition(anchor, mediator, right, owner),
-            Transition(right, mediator, anchor, owner),
+            Transition(anchor, mediator, right),
+            Transition(right, mediator, anchor),
         ]
         if anchor == right:
             pair = pair[:1]

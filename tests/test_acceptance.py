@@ -217,8 +217,8 @@ def test_criterion_7_band_oracle():
             CHAIN3,
             CycleAssignment(
                 cycles={
-                    "w": (Transition("s", "A", "s", "w"),),
-                    "A": (Transition("s", "w", "s", "A"),),
+                    "w": (Transition("s", "A", "s"),),
+                    "A": (Transition("s", "w", "s"),),
                 }
             ),
         )
@@ -227,7 +227,7 @@ def test_criterion_7_band_oracle():
     for order, assignment in instances:
         gluing, cycles = glue_bands(assignment, order)
         ours = {}
-        for a, b in gluing.pairs:
+        for a, b in gluing:
             ours[a] = b
             ours[b] = a
         all_matchings = list(enumerate_type_matchings(assignment, order))

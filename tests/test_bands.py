@@ -2,8 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smale_orders.bands import (
-    BandGluing,
-    BoundaryCycle,
     boundary_profile,
     glue_bands,
     verify_boundary_cycles,
@@ -29,14 +27,13 @@ from helpers import (
 CHAIN3 = load_order({"elements": ["A", "s", "w"], "relations": [["A", "s"], ["s", "w"]]})
 
 
-def T(left, mediator, right, owner):
-    return Transition(left=left, mediator=mediator, right=right, owner=owner)
+T = Transition
 
 
 def test_example1_boundary_cycles_have_length_two():
     order = diamond_order()
     gluing, cycles = glue_bands(example1_cycles(), order)
-    assert len(gluing.pairs) == 2
+    assert len(gluing) == 2
     for s in ("s1", "s2"):
         assert boundary_profile(cycles[s]) == (2,)
     assert verify_boundary_cycles(gluing, cycles, example1_cycles(), order) == []
@@ -50,8 +47,8 @@ def test_example_boundary_cycle_matches_displayed_walk():
         assert boundary_profile(cycles[s]) == (4,)
         assert len(cycles[s]) == 1
     # the eight-band walk of s2 alternates the displayed transition types
-    walk = cycles["s2"][0].sequence[:-1]
-    types = [(key[0], assignment.cycle(key[0])[key[1]].key) for key in walk]
+    walk = cycles["s2"][0][:-1]
+    types = [(key[0], assignment.cycle(key[0])[key[1]]) for key in walk]
     assert types == [
         ("w", ("s1", "A", "s2")),
         ("A", ("s1", "w", "s2")),
@@ -72,7 +69,7 @@ def test_three_chain_doubled_partitions_four_bands():
     # every self band appears exactly twice across the saddle's cycles
     appearances = {}
     for cyc in cycles["s"]:
-        for key in cyc.sequence[:-1]:
+        for key in cyc[:-1]:
             appearances[key] = appearances.get(key, 0) + 1
     assert set(appearances.values()) == {2}
     assert verify_boundary_cycles(gluing, cycles, built, CHAIN3) == []
@@ -80,7 +77,7 @@ def test_three_chain_doubled_partitions_four_bands():
 
 def test_three_chain_minimal_cycle_single_component():
     minimal = CycleAssignment(
-        cycles={"w": (T("s", "A", "s", "w"),), "A": (T("s", "w", "s", "A"),)}
+        cycles={"w": (T("s", "A", "s"),), "A": (T("s", "w", "s"),)}
     )
     gluing, cycles = glue_bands(minimal, CHAIN3)
     assert boundary_profile(cycles["s"]) == (2,)
@@ -92,7 +89,7 @@ def _spliced_built_diamond():
     built = build_initial_cycles(diamond_order())
     word = list(built.cycle("A"))
     pos = next(i for i, t in enumerate(word) if t.right == "s1")
-    word[pos + 1 : pos + 1] = [T("s1", "w", "s2", "A"), T("s2", "w", "s1", "A")]
+    word[pos + 1 : pos + 1] = [T("s1", "w", "s2"), T("s2", "w", "s1")]
     return CycleAssignment(cycles={**built.cycles, "A": tuple(word)})
 
 
@@ -101,8 +98,8 @@ def _spliced_built_diamond():
     [
         CycleAssignment(
             cycles={
-                "w": tuple(T(a, "A", b, "w") for a, b in [("s1", "s2"), ("s2", "s1")] * 2),
-                "A": tuple(T(a, "w", b, "A") for a, b in [("s1", "s2"), ("s2", "s1")]),
+                "w": tuple(T(a, "A", b) for a, b in [("s1", "s2"), ("s2", "s1")] * 2),
+                "A": tuple(T(a, "w", b) for a, b in [("s1", "s2"), ("s2", "s1")]),
             }
         ),
         _spliced_built_diamond(),
@@ -119,8 +116,8 @@ def test_glue_rejects_unchained_cycles_naming_the_saddle():
     word = [("s1", "s2"), ("s1", "s2"), ("s2", "s1"), ("s2", "s1")]
     unchained = CycleAssignment(
         cycles={
-            "w": tuple(T(a, "A", b, "w") for a, b in word),
-            "A": tuple(T(a, "w", b, "A") for a, b in word),
+            "w": tuple(T(a, "A", b) for a, b in word),
+            "A": tuple(T(a, "w", b) for a, b in word),
         }
     )
     with pytest.raises(PreconditionViolated, match="boundary walk for s1 drifted"):
@@ -137,7 +134,7 @@ def admissible_words(draw):
     order = draw(st.sampled_from(SMALL_ORDERS))
     cycles = {}
     for owner in classify(order).extremals():
-        types = sorted(admissible_transitions(order, owner), key=lambda t: t.key)
+        types = sorted(admissible_transitions(order, owner))
         cycles[owner] = tuple(draw(st.lists(st.sampled_from(types), max_size=6)))
     return order, CycleAssignment(cycles=cycles)
 
@@ -158,21 +155,19 @@ def test_glue_bands_deterministic():
     built = build_initial_cycles(order)
     g1, c1 = glue_bands(built, order)
     g2, c2 = glue_bands(built, order)
-    assert g1.pairs == g2.pairs
-    assert {s: [c.sequence for c in cs] for s, cs in c1.items()} == {
-        s: [c.sequence for c in cs] for s, cs in c2.items()
-    }
+    assert g1 == g2
+    assert {s: list(cs) for s, cs in c1.items()} == {s: list(cs) for s, cs in c2.items()}
 
 
 def test_verify_rejects_plus_two_advance_jump():
     order = diamond_order()
     assignment = example_cycles()
     gluing, cycles = glue_bands(assignment, order)
-    seq = list(cycles["s2"][0].sequence)
+    seq = list(cycles["s2"][0])
     owner, idx = seq[2]  # an advance target
     seq[2] = (owner, (idx + 1) % len(assignment.cycle(owner)))
     broken = dict(cycles)
-    broken["s2"] = (BoundaryCycle(saddle="s2", sequence=tuple(seq)),)
+    broken["s2"] = (tuple(seq),)
     problems = verify_boundary_cycles(gluing, broken, assignment, order)
     assert any("end = beginning + 1" in p for p in problems)
 
@@ -181,9 +176,9 @@ def test_verify_names_an_odd_band_count_in_a_cycle_body():
     order = diamond_order()
     assignment = example1_cycles()
     gluing, cycles = glue_bands(assignment, order)
-    seq = cycles["s2"][0].sequence
+    seq = cycles["s2"][0]
     broken = dict(cycles)
-    broken["s2"] = (BoundaryCycle(saddle="s2", sequence=seq[:3] + seq[:1]),)
+    broken["s2"] = (seq[:3] + seq[:1],)
     problems = verify_boundary_cycles(gluing, broken, assignment, order)
     assert "s2: cycle body has an odd band count 3" in problems
 
@@ -192,7 +187,7 @@ def test_verify_rejects_reversed_type_matching():
     order = diamond_order()
     assignment = example1_cycles()
     # pair (s1 -> s2 at w) with (s2 -> s1 at A): reversed direction
-    bad = BandGluing(pairs=((("w", 0), ("A", 1)), (("w", 1), ("A", 0))))
+    bad = ((("w", 0), ("A", 1)), (("w", 1), ("A", 0)))
     _, cycles = glue_bands(assignment, order)
     problems = verify_boundary_cycles(bad, cycles, assignment, order)
     assert any("incompatible types" in p for p in problems)
@@ -212,7 +207,7 @@ def small_instances():
         (
             CHAIN3,
             CycleAssignment(
-                cycles={"w": (T("s", "A", "s", "w"),), "A": (T("s", "w", "s", "A"),)}
+                cycles={"w": (T("s", "A", "s"),), "A": (T("s", "w", "s"),)}
             ),
         )
     )
@@ -229,7 +224,7 @@ def test_glue_output_among_exhaustive_matchings():
     for order, assignment in small_instances():
         gluing, cycles = glue_bands(assignment, order)
         got_matching = {}
-        for a, b in gluing.pairs:
+        for a, b in gluing:
             got_matching[a] = b
             got_matching[b] = a
         matchings = list(enumerate_type_matchings(assignment, order))
@@ -241,9 +236,7 @@ def test_glue_output_among_exhaustive_matchings():
             assert oracle_axiom_counts(assignment, order, walked)
             valid += 1
             if m == got_matching:
-                got_cycles = {
-                    s: [c.sequence for c in cs] for s, cs in cycles.items()
-                }
+                got_cycles = {s: list(cs) for s, cs in cycles.items()}
                 assert {s: list(map(tuple, w)) for s, w in walked.items()} == got_cycles
         assert valid == len(matchings)
 
@@ -260,10 +253,10 @@ def test_partition_property_on_random_balanced_assignments():
 def test_pair_count_is_half_the_band_count():
     for order, assignment in small_instances():
         gluing, _ = glue_bands(assignment, order)
-        assert 2 * len(gluing.pairs) == assignment.total_bands()
+        assert 2 * len(gluing) == assignment.total_bands()
 
 
 def test_boundary_profile_trivia():
     assert boundary_profile([]) == ()
-    cyc = BoundaryCycle(saddle="s", sequence=(("w", 0), ("A", 0), ("A", 0), ("w", 0), ("w", 0)))
-    assert cyc.length == 2
+    cyc = (("w", 0), ("A", 0), ("A", 0), ("w", 0), ("w", 0))
+    assert boundary_profile([cyc]) == (2,)

@@ -257,6 +257,18 @@ def test_realize_refuses_cycles_on_an_empty_core(corpus_dir, tmp_path, capsys):
     assert json.loads(out.read_text())["cycles"] == {}
 
 
+def test_export_dot_refuses_the_cycle_files_realize_refuses(corpus_dir, tmp_path, capsys):
+    order = tmp_path / "pq.json"
+    order.write_text(json.dumps({"elements": ["p", "q"], "relations": [["p", "q"]]}))
+    dots = tmp_path / "dots"
+    cycles = corpus_dir / "example1.cycles.json"
+    assert run_cli("export-dot", str(order), "--cycles", str(cycles), "-o", str(dots)) == 1
+    assert capsys.readouterr() == (
+        "", "error: assignment owners ['A', 'w'] do not match the extremal elements []\n"
+    )
+    assert not (dots / "pq-bands.dot").exists()
+
+
 def test_verify_cert_reports_cycles_of_an_owner_outside_the_core(corpus_dir, tmp_path):
     cert_path = tmp_path / "cert.json"
     run_cli("realize", str(corpus_dir / "example1.json"), "-o", str(cert_path))

@@ -37,15 +37,14 @@ from helpers import (
 CHAIN3 = load_order({"elements": ["A", "s", "w"], "relations": [["A", "s"], ["s", "w"]]})
 
 
-def T(left, mediator, right, owner):
-    return Transition(left=left, mediator=mediator, right=right, owner=owner)
+T = Transition
 
 
 # ---------------------------------------------------------------- admissible
 
 
 def test_admissible_diamond_owner_w():
-    got = {t.key for t in admissible_transitions(diamond_order(), "w")}
+    got = set(admissible_transitions(diamond_order(), "w"))
     assert got == {
         ("s1", "A", "s2"),
         ("s2", "A", "s1"),
@@ -55,13 +54,13 @@ def test_admissible_diamond_owner_w():
 
 
 def test_admissible_three_chain_owner_w():
-    got = {t.key for t in admissible_transitions(CHAIN3, "w")}
+    got = set(admissible_transitions(CHAIN3, "w"))
     assert got == {("s", "A", "s")}
 
 
 def test_admissible_impossibleorder_owner_w1():
     order = load_order(IMPOSSIBLE_ORDER)
-    got = {t.key for t in admissible_transitions(order, "w1")}
+    got = set(admissible_transitions(order, "w1"))
     assert got == {("s1", "A", "s1")}
 
 
@@ -73,7 +72,7 @@ def test_admissible_rejects_saddles():
 def test_admissible_matches_bruteforce_oracle():
     for order in usable_orders(5):
         for owner in order.maximal_elements + order.minimal_elements:
-            got = {t.key for t in admissible_transitions(order, owner)}
+            got = set(admissible_transitions(order, owner))
             assert got == oracle_admissible(order, owner)
 
 
@@ -84,7 +83,7 @@ def test_admissible_agrees_with_product_formula_on_census():
     for n in range(2, 7):
         for order in iter_orders(n):
             for owner in order.maximal_elements + order.minimal_elements:
-                got = {t.key for t in admissible_transitions(order, owner)}
+                got = set(admissible_transitions(order, owner))
                 assert got == product_admissible(order, owner)
                 checked += 1
     assert checked > 10_000
@@ -99,7 +98,7 @@ def test_build_diamond_doubles_every_type():
     assert len(word) == 8
     counts = {}
     for t in word:
-        counts[t.key] = counts.get(t.key, 0) + 1
+        counts[t] = counts.get(t, 0) + 1
     assert counts == {
         ("s1", "A", "s1"): 2,
         ("s1", "A", "s2"): 2,
@@ -175,8 +174,8 @@ def test_star_ledger_lists_only_touched_groups():
 def unbalanced_pair_case():
     return CycleAssignment(
         cycles={
-            "w": tuple(T(a, "A", b, "w") for a, b in [("s1", "s2"), ("s2", "s1")] * 2),
-            "A": tuple(T(a, "w", b, "A") for a, b in [("s1", "s2"), ("s2", "s1")]),
+            "w": tuple(T(a, "A", b) for a, b in [("s1", "s2"), ("s2", "s1")] * 2),
+            "A": tuple(T(a, "w", b) for a, b in [("s1", "s2"), ("s2", "s1")]),
         }
     )
 
@@ -212,8 +211,8 @@ def test_balance_self_transition_case():
     # two self slots around w, one around A: one self splice into A's cycle
     assignment = CycleAssignment(
         cycles={
-            "w": (T("s", "A", "s", "w"), T("s", "A", "s", "w")),
-            "A": (T("s", "w", "s", "A"),),
+            "w": (T("s", "A", "s"), T("s", "A", "s")),
+            "A": (T("s", "w", "s"),),
         }
     )
     before = star_ledger(assignment, CHAIN3)
@@ -225,18 +224,27 @@ def test_balance_self_transition_case():
     assert len(out.cycle("A")) == 2
 
 
+def test_balance_names_an_extremal_without_a_cycle():
+    only_w = CycleAssignment(cycles={"w": example1_cycles().cycle("w")})
+    with pytest.raises(PreconditionViolated) as exc:
+        balance_cycles(only_w, diamond_order())
+    assert str(exc.value) == (
+        "assignment owners ['w'] do not match the extremal elements ['A', 'w']"
+    )
+
+
 def test_balance_rejects_condition_violations():
     # missing required type s2 -> s1 (condition 1 / condition 2 break)
     bad = CycleAssignment(
         cycles={
-            "w": (T("s1", "A", "s2", "w"), T("s2", "A", "s1", "w")),
-            "A": (T("s1", "w", "s2", "A"), T("s2", "w", "s2", "A"), T("s2", "w", "s1", "A"), T("s1", "w", "s1", "A")),
+            "w": (T("s1", "A", "s2"), T("s2", "A", "s1")),
+            "A": (T("s1", "w", "s2"), T("s2", "w", "s2"), T("s2", "w", "s1"), T("s1", "w", "s1")),
         }
     )
     # corrupt chaining in w
     worse = CycleAssignment(
         cycles={
-            "w": (T("s1", "A", "s2", "w"), T("s1", "A", "s2", "w")),
+            "w": (T("s1", "A", "s2"), T("s1", "A", "s2")),
             "A": bad.cycles["A"],
         }
     )
@@ -288,7 +296,7 @@ def test_balance_output_equal_up_to_rotation_of_inputs(rot_w, rot_a):
     out_rot = balance_cycles(rotated, order)
 
     def canonical(word):
-        keys = [t.key for t in word]
+        keys = list(word)
         return min(tuple(keys[i:] + keys[:i]) for i in range(len(keys)))
 
     for owner in ("w", "A"):

@@ -7,7 +7,7 @@ import random
 from collections import Counter
 
 from smale_orders.assemble import assemble
-from smale_orders.bands import BandGluing, BoundaryCycle, bands_of
+from smale_orders.bands import bands_of
 from smale_orders.cli import main
 from smale_orders.cycles import CycleAssignment
 from smale_orders.order import load_order
@@ -22,9 +22,7 @@ def test_invented_gluing_without_cycles_is_refused(tmp_path):
     order = load_order({"elements": ["p", "q"], "relations": [["p", "q"]]})
     cert = realize(order)
     pairs = ((("p", 0), ("q", 0)), (("p", 1), ("q", 1)))
-    forged = assemble(
-        order, cert.assignment, BandGluing(pairs=pairs), cert.boundary, cert.domains, cert.repairs
-    )
+    forged = assemble(order, cert.assignment, pairs, cert.boundary, cert.domains, cert.repairs)
     cert_path, out = tmp_path / "cert.json", tmp_path / "verify.json"
     cert_path.write_text(json.dumps(forged.to_dict()))
     assert main(["verify-cert", str(cert_path), "-o", str(out)]) == 2
@@ -39,8 +37,8 @@ def _tampered(cert, rng: random.Random):
     transition inserted, dropped or reversed, a boundary cycle dropped),
     with every summary field re-derived."""
     cycles = {o: list(cert.assignment.cycle(o)) for o in cert.assignment.owners()}
-    pairs = list(cert.gluing.pairs)
-    boundary = {s: [list(c.sequence) for c in cs] for s, cs in cert.boundary.items()}
+    pairs = list(cert.gluing)
+    boundary = {s: [list(c) for c in cs] for s, cs in cert.boundary.items()}
     for _ in range(rng.choice((1, 2))):
         edit = rng.randrange(8)
         word = cycles[rng.choice(sorted(cycles))]
@@ -68,17 +66,14 @@ def _tampered(cert, rng: random.Random):
             seqs = boundary[rng.choice(walked)]
             seqs.pop(rng.randrange(len(seqs)))
     assignment = CycleAssignment(cycles={o: tuple(w) for o, w in cycles.items()})
-    cycles_of = {
-        s: tuple(BoundaryCycle(saddle=s, sequence=tuple(seq)) for seq in seqs)
-        for s, seqs in boundary.items()
-    }
+    cycles_of = {s: tuple(tuple(seq) for seq in seqs) for s, seqs in boundary.items()}
     domains, repairs = dict(cert.domains), dict(cert.repairs)
     for s in sorted(cycles_of):
         try:
             domains[s], repairs[s] = _domain(cycles_of[s])
         except ValueError:  # no valid profile: the stored domain stays
             pass
-    gluing = BandGluing(pairs=tuple(sorted(pairs)))
+    gluing = tuple(sorted(pairs))
     return assemble(cert.order, assignment, gluing, cycles_of, domains, repairs)
 
 
@@ -92,7 +87,7 @@ def _broken_implied_invariants(cert) -> set:
         broken.add("2E")
     bands = bands_of(cert.assignment)
     for s, cycles in cert.boundary.items():
-        counts = Counter(k for c in cycles for k in c.sequence[:-1] if k in bands)
+        counts = Counter(k for c in cycles for k in c[:-1] if k in bands)
         for key, n in counts.items():
             if n > (2 if bands[key].left == bands[key].right == s else 1):
                 broken.add("cap")

@@ -5,7 +5,7 @@ import pytest
 
 import smale_orders.pipeline as pipeline
 from smale_orders.assemble import assemble
-from smale_orders.bands import BandGluing, BoundaryCycle, glue_bands
+from smale_orders.bands import glue_bands
 from smale_orders.cli import main
 from smale_orders.corpus import IMPOSSIBLE_ORDER, diamond_order, example1_cycles, example_cycles
 from smale_orders.cycles import CycleAssignment, balance_cycles, build_initial_cycles
@@ -119,7 +119,7 @@ def test_verify_cert_names_extremal_elements_without_cycles(tmp_path):
     """The diamond's certificate with its cycles, gluing and boundary cycles
     emptied and every summary field re-derived."""
     empty = CycleAssignment(cycles={})
-    emptied = assemble(diamond_order(), empty, BandGluing(pairs=()), {}, {}, {})
+    emptied = assemble(diamond_order(), empty, (), {}, {}, {})
     cert_path, out = tmp_path / "cert.json", tmp_path / "verify.json"
     cert_path.write_text(json.dumps(emptied.to_dict()))
     assert main(["verify-cert", str(cert_path), "-o", str(out)]) == 2
@@ -138,10 +138,10 @@ def test_realize_rejects_broken_boundary(monkeypatch):
 
     def shifted_glue(assignment, order):
         gluing, cycles = glue_bands(assignment, order)
-        seq = list(cycles["s2"][0].sequence)
+        seq = list(cycles["s2"][0])
         owner, idx = seq[2]  # an advance target
         seq[2] = (owner, (idx + 1) % len(assignment.cycle(owner)))
-        return gluing, {**cycles, "s2": (BoundaryCycle(saddle="s2", sequence=tuple(seq)),)}
+        return gluing, {**cycles, "s2": (tuple(seq),)}
 
     monkeypatch.setattr(pipeline, "glue_bands", shifted_glue)
     with pytest.raises(AssertionError, match=r"end = beginning \+ 1"):

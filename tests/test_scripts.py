@@ -1,5 +1,6 @@
 """The census scripts run end to end and print the known small-order counts,
-and the README shows only the library names the package exports."""
+the README shows only the library names the package exports, and the package
+version is the one in ``pyproject.toml``."""
 
 import os
 import re
@@ -161,3 +162,10 @@ def test_readme_library_surface_is_exported():
     names = re.findall(r"\w+", re.sub(r"#.*", "", imported))
     assert names
     assert sorted(set(names) - set(smale_orders.__all__)) == []
+
+
+def test_package_version_is_the_pyproject_version():
+    # read with a pattern, not tomllib, which Python 3.10 lacks
+    project = (ROOT / "pyproject.toml").read_text().split("[project]", 1)[1]
+    version = re.search(r'^version = "([^"]+)"$', project, re.M).group(1)
+    assert version == smale_orders.__version__
