@@ -21,7 +21,7 @@ components to the assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cycles import CycleAssignment
 from .domains import DomainSpec, RepairLog
@@ -31,8 +31,7 @@ TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
+class ComponentSummary(NamedTuple):
     elements: tuple[str, ...]
     chi: int
     genus: int
@@ -41,8 +40,7 @@ class ComponentSummary:
         return {"elements": list(self.elements), "chi": self.chi, "genus": self.genus}
 
 
-@dataclass(frozen=True)
-class RealizationCertificate:
+class RealizationCertificate(NamedTuple):
     order: FiniteOrder
     roles: RoleMap
     assignment: CycleAssignment
@@ -212,8 +210,7 @@ def assemble(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlugPlan:
+class PlugPlan(NamedTuple):
     """Per-element plug sizes and the gluing schedule over cover pairs.
 
     Saddle-saddle gluings can be made transverse; gluings touching an

@@ -265,6 +265,13 @@ def _differences(a, b, path: str = ""):
 
 
 def _run_export_dot(args: argparse.Namespace, order) -> int:
+    # a refused or malformed cycle file exits 1 before anything is written
+    assignment = _load_cycles_file(args.cycles) if args.cycles else None
+    try:
+        certificate = realize(order, assignment)
+    except ConnectivityFailure:  # no bands to draw
+        certificate = None
+
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem
@@ -276,13 +283,8 @@ def _run_export_dot(args: argparse.Namespace, order) -> int:
         written.append(str(path))
 
     write("hasse", hasse_dot(order))
-
-    assignment = _load_cycles_file(args.cycles) if args.cycles else None
-    try:
-        certificate = realize(order, assignment)
+    if certificate is not None:
         write("bands", band_incidence_dot(certificate))
-    except ConnectivityFailure:  # no bands to draw; a refused cycle file exits 1
-        pass
 
     try:
         highest, lowest = level_graphs(order)

@@ -17,7 +17,6 @@ attractor side as on the repeller side; ``_band_type`` names the type, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
@@ -48,8 +47,7 @@ class Transition(NamedTuple):
         return Transition(self.right, self.mediator, self.left)
 
 
-@dataclass(frozen=True)
-class CycleAssignment:
+class CycleAssignment(NamedTuple):
     """A cyclic word of transitions per extremal element (index origin 0)."""
 
     cycles: dict

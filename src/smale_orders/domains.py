@@ -20,7 +20,7 @@ not claim them, so they are NotCovered too and the repair step removes them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonIntegralGenus
 
@@ -37,19 +37,19 @@ class RecipeKind(enum.Enum):
     PSEUDO_ANOSOV_DA = "pseudo-anosov-da"
 
 
-@dataclass(frozen=True)
-class LengthProfile:
+class LengthProfile(NamedTuple("LengthProfile", [("lengths", tuple)])):
     """Multiset of boundary circle lengths, stored largest first."""
 
-    lengths: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(sorted(self.lengths, reverse=True)))
-        for n in self.lengths:
+    def __new__(cls, lengths: tuple[int, ...]):
+        lengths = tuple(sorted(lengths, reverse=True))
+        for n in lengths:
             if n < 2 or n % 2:
                 raise ValueError(f"boundary lengths must be even and >= 2, got {n}")
-        if not self.lengths:
+        if not lengths:
             raise ValueError("a profile needs at least one boundary circle")
+        return super().__new__(cls, lengths)
 
     @property
     def s(self) -> int:
@@ -70,8 +70,7 @@ class LengthProfile:
         return pronged == [10, 6] and rest_all_4
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(NamedTuple):
     kind: RecipeKind
     prongs: tuple[int, ...] = ()
     saddle_openings: int = 0
@@ -84,8 +83,7 @@ class Recipe:
         }
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(NamedTuple):
     profile: LengthProfile
     genus: int
     recipe: Recipe
@@ -103,8 +101,7 @@ class RepairOp(enum.Enum):
     SPLIT_CYCLE = "split-cycle"
 
 
-@dataclass(frozen=True)
-class RepairStep:
+class RepairStep(NamedTuple):
     op: RepairOp
     before: tuple[int, ...]
     after: tuple[int, ...]
@@ -113,8 +110,7 @@ class RepairStep:
         return {"op": self.op.value, "before": list(self.before), "after": list(self.after)}
 
 
-@dataclass(frozen=True)
-class RepairLog:
+class RepairLog(NamedTuple):
     steps: tuple[RepairStep, ...]
 
     @property

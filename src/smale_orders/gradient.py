@@ -27,7 +27,7 @@ those with another face count and stops at the first witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DisconnectedGraph, NotGradientShape
 from .order import (
@@ -40,8 +40,7 @@ from .order import (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str  # "Connectivity" | "R1" | "R2"
     witnesses: tuple[str, ...]
     detail: str
@@ -50,8 +49,7 @@ class Violation:
         return {"rule": self.rule, "witnesses": list(self.witnesses), "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -131,8 +129,7 @@ def check_necessary(order: FiniteOrder) -> ViolationReport:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelGraph:
+class LevelGraph(NamedTuple):
     """Multigraph with loops: vertices are extremals of one side, one edge
     per first-generation saddle joining its (at most two) neighbors."""
 
@@ -180,8 +177,7 @@ def level_graphs(order: FiniteOrder) -> tuple[LevelGraph, LevelGraph]:
 Dart = tuple[int, int]  # (edge index, end)
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     rotation: dict  # vertex -> tuple[Dart, ...], counterclockwise
     faces: tuple  # tuple of dart tuples
 
@@ -251,8 +247,7 @@ def _rotation_systems(darts: list):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradientVerdict:
+class GradientVerdict(NamedTuple):
     realizable: bool
     genus: int | None
     max_genus_searched: int

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import (
     CycleInRelation,
@@ -52,7 +52,6 @@ class _NameSets(dict):
         return names
 
 
-@dataclass(frozen=True)
 class FiniteOrder:
     """A finite strict partial order, transitively closed, with Hasse covers.
 
@@ -61,17 +60,32 @@ class FiniteOrder:
     and down masks are; ``from_down_sets`` and ``restrict`` build them.
     """
 
-    elements: tuple[str, ...]
-    _down: tuple[int, ...]
-    _up: tuple[int, ...] = field(compare=False, repr=False)
-    _cover_down: tuple[int, ...] = field(compare=False, repr=False)
-    _cover_up: tuple[int, ...] = field(compare=False, repr=False)
-    _index: dict = field(init=False, compare=False, repr=False)
-    _named: dict = field(init=False, compare=False, repr=False)
+    __slots__ = ("elements", "_down", "_up", "_cover_down", "_cover_up", "_index", "_named")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
-        object.__setattr__(self, "_named", _NameSets(self.elements))
+    def __init__(self, elements, _down, _up, _cover_down, _cover_up):
+        index = {e: i for i, e in enumerate(elements)}
+        values = (elements, _down, _up, _cover_down, _cover_up, index, _NameSets(elements))
+        for slot, value in zip(_ORDER_SLOTS, values):
+            slot.__set__(self, value)  # the slot's own setter; __setattr__ refuses
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a FiniteOrder is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return FiniteOrder, (self.elements, self._down, self._up, self._cover_down, self._cover_up)
+
+    def __eq__(self, other):
+        if other.__class__ is not FiniteOrder:
+            return NotImplemented
+        return (self.elements, self._down) == (other.elements, other._down)
+
+    def __hash__(self):
+        return hash((self.elements, self._down))
+
+    def __repr__(self):
+        return f"FiniteOrder(elements={self.elements!r}, _down={self._down!r})"
 
     # -- basic queries ------------------------------------------------------
 
@@ -167,8 +181,10 @@ class FiniteOrder:
         }
 
 
-@dataclass(frozen=True)
-class RoleMap:
+_ORDER_SLOTS = [vars(FiniteOrder)[name] for name in FiniteOrder.__slots__]
+
+
+class RoleMap(NamedTuple):
     """Element roles plus saddle generations.
 
     A saddle has generation 1 when no saddle lies strictly above it, and
@@ -187,8 +203,7 @@ class RoleMap:
         )
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     """Per-extremal connectivity verdicts.
 
     Every maximal and minimal element appears exactly once.  ``entries`` maps

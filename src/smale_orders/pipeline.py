@@ -24,8 +24,6 @@ closed and its covers derived.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from .assemble import RealizationCertificate, assemble
 from .bands import boundary_profile, glue_bands, verify_boundary_cycles
 from .cycles import CycleAssignment, _doubled_euler_cycles, assignment_problems, balance_cycles
@@ -184,9 +182,9 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
 
     rebuilt = assemble(order, cert.assignment, cert.gluing, cert.boundary, domains, repairs)
     problems += [
-        f"stored field {f.name} differs from the re-assembled certificate"
-        for f in fields(cert)
-        if getattr(cert, f.name) != getattr(rebuilt, f.name)
+        f"stored field {name} differs from the re-assembled certificate"
+        for name, stored, derived in zip(cert._fields, cert, rebuilt)
+        if stored != derived
     ]
     return problems + _invariant_problems(rebuilt, core)
 

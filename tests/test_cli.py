@@ -261,12 +261,19 @@ def test_export_dot_refuses_the_cycle_files_realize_refuses(corpus_dir, tmp_path
     order = tmp_path / "pq.json"
     order.write_text(json.dumps({"elements": ["p", "q"], "relations": [["p", "q"]]}))
     dots = tmp_path / "dots"
-    cycles = corpus_dir / "example1.cycles.json"
-    assert run_cli("export-dot", str(order), "--cycles", str(cycles), "-o", str(dots)) == 1
-    assert capsys.readouterr() == (
-        "", "error: assignment owners ['A', 'w'] do not match the extremal elements []\n"
-    )
-    assert not (dots / "pq-bands.dot").exists()
+    malformed = tmp_path / "bad.cycles.json"
+    malformed.write_text('{"A": 5}')
+    refusals = [
+        (
+            corpus_dir / "example1.cycles.json",
+            "assignment owners ['A', 'w'] do not match the extremal elements []",
+        ),
+        (malformed, "A: expected an array of transitions"),
+    ]
+    for cycles, error in refusals:
+        assert run_cli("export-dot", str(order), "--cycles", str(cycles), "-o", str(dots)) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not dots.exists()  # no file, not even the output directory
 
 
 def test_verify_cert_reports_cycles_of_an_owner_outside_the_core(corpus_dir, tmp_path):
