@@ -12,27 +12,26 @@ cycles satisfying conditions 1 and 2 such a perfect matching exists exactly
 when the star balance holds, so the matching itself detects an unbalanced
 assignment: a band left without a partner raises ``StarViolated``.
 
-The boundary of a saddle's domain is then read off by a walk in four-step
-blocks from an attractor-side beginning band (saddle on the right): glue,
-advance to index+1 (an end band, saddle on the left), glue, advance to
-index-1, until the walk is back at its start.  In both advances the end band
-sits at the beginning band's index plus one, the single indexation axiom.
-Partners are chosen lazily during the walk, first available in index order,
-which is what makes the length-4 cycle example close into one long boundary
-component instead of two short ones.  Every walk closes without repeating a
-band: a band gets its partner once and advancing is a bijection, so the
-block map is injective and its orbits are disjoint cycles; the sides
-alternate because the queues match attractor-side bands with repeller-side
-bands only.  Unchained cycles can only break the adjacency: an advance onto
+The boundary of a saddle's domain is then read off by one walk, ``_walk``,
+in four-step blocks from an attractor-side beginning band (saddle on the
+right): glue, advance to index+1 (an end band, saddle on the left), glue,
+advance to index-1, until the walk is back at its start.  In both advances
+the end band sits at the beginning band's index plus one, the single
+indexation axiom.  ``glue_bands`` chooses partners lazily during the walk,
+first available in index order, which is what makes the length-4 cycle
+example close into one long boundary component instead of two short ones;
+``verify_boundary_cycles`` walks a stored gluing again and compares.  Every
+walk closes without repeating a band: a band gets its partner once and
+advancing is a bijection, so the block map is injective and its orbits are
+disjoint cycles; the sides alternate because a partner is always on the
+other side.  Unchained cycles can only break the adjacency: an advance onto
 a band not mentioning the saddle raises ``PreconditionViolated``.
-
-The match queues and each saddle's starting bands are built in one pass over
-the bands, so no step rescans all bands per saddle.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from collections import Counter
+from itertools import chain, compress
 
 from .errors import PreconditionViolated, StarViolated
 from .order import FiniteOrder, _flags
@@ -57,30 +56,23 @@ def bands_of(assignment: CycleAssignment) -> dict:
 def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
     """Match bands across sides and walk out every saddle's boundary cycles.
 
-    Saddles are processed in canonical order; bands mentioning the current
-    saddle are matched on demand while its boundary is walked, taking the
-    first not-yet-matched compatible band in index order.  Returns the
-    complete gluing and a map from saddle to its boundary cycles; raises
+    A band is matched when ``_walk`` first needs its partner, to the first
+    not-yet-matched compatible band in index order.  Returns the complete
+    gluing and a map from saddle to its boundary cycles; raises
     ``StarViolated`` when some band finds no partner and
     ``PreconditionViolated`` when a four-step walk drifts off the saddle.
     """
-    _, saddle_mask, _ = order._role_masks()
-    saddles = sorted(compress(order.elements, _flags(saddle_mask)))
     bands = bands_of(assignment)
     is_attractor = {owner: not order.down_set(owner) for owner in assignment.owners()}
     cycle_len = {owner: len(assignment.cycle(owner)) for owner in assignment.owners()}
 
-    # one pass in key order: the bands of each type and side waiting for a
-    # partner, and each saddle's attractor-side bands that begin at it
+    # the bands of each type and side waiting for a partner, in key order;
+    # an iterator per queue drops already matched bands from its front
     queues: dict = {}
-    starts: dict = {}
     for key, t in bands.items():
         attr = is_attractor[key[0]]
         gid = _band_type(key[0], t, attr)
         queues.setdefault((gid, 0 if attr else 1), []).append(key)
-        if attr:
-            starts.setdefault(t.right, []).append(key)
-    # an iterator per queue drops already matched bands from its front
     queues = {q: iter(keys) for q, keys in queues.items()}
 
     partner: dict = {}
@@ -98,10 +90,30 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
                 return cand
         raise StarViolated(f"no compatible partner left for band {key} of type {t}")
 
-    walked: set = set()  # attractor-side beginning bands already walked
-    cycles: dict = {s: [] for s in saddles}
+    cycles = _walk(order, bands, is_attractor, cycle_len, partner_of)
 
-    for saddle in saddles:
+    unmatched = sorted(k for k in bands if k not in partner)
+    if unmatched:
+        raise StarViolated(f"bands left unmatched: {unmatched}")
+
+    gluing = tuple(sorted((a, partner[a]) for a in bands if is_attractor[a[0]]))
+    return gluing, cycles
+
+
+def _walk(order: FiniteOrder, bands: dict, is_attractor: dict, cycle_len: dict, partner_of):
+    """Every core saddle's boundary cycles under ``partner_of``, a dict from
+    saddle to a tuple of cycles.  The walks start on the saddle's unwalked
+    attractor-side beginning bands in key order; a drift off the saddle
+    raises ``PreconditionViolated``."""
+    starts: dict = {}  # saddle -> attractor-side bands beginning at it
+    for key, t in bands.items():
+        if is_attractor[key[0]]:
+            starts.setdefault(t.right, []).append(key)
+    _, saddle_mask, _ = order._role_masks()
+    walked: set = set()
+    cycles: dict = {}
+    for saddle in sorted(compress(order.elements, _flags(saddle_mask))):
+        found = []
         for start in starts.get(saddle, ()):
             if start in walked:
                 continue
@@ -121,14 +133,9 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
                     seq += [glued, cur]
                 if cur == start:
                     break
-            cycles[saddle].append(tuple(seq))
-
-    unmatched = sorted(k for k in bands if k not in partner)
-    if unmatched:
-        raise StarViolated(f"bands left unmatched: {unmatched}")
-
-    gluing = tuple(sorted((a, partner[a]) for a in bands if is_attractor[a[0]]))
-    return gluing, {s: tuple(cs) for s, cs in cycles.items()}
+            found.append(tuple(seq))
+        cycles[saddle] = tuple(found)
+    return cycles
 
 
 def _length(cycle: tuple) -> int:
@@ -149,31 +156,32 @@ def verify_boundary_cycles(
     assignment: CycleAssignment,
     order: FiniteOrder,
 ) -> list[str]:
-    """Independently re-check the gluing and the boundary cycle axioms.
+    """Independently re-check the gluing and re-trace the boundary cycles.
 
-    Returns a list of violations (empty means pass): type compatibility and
-    perfectness of the matching, membership of every listed band, the
-    index+1 adjacency of every advance step, the partition of every
-    saddle's bands by its cycles (each related band appears once, a self
-    band twice, which also caps its appearances), and the global identity
-    between the total boundary length and the band count.
+    Returns a list of violations (empty means pass).  The matching must be
+    perfect and type compatible: every pair joins two known bands of the
+    same saddle pair on opposite sides with crossed mediators, and every
+    band is in exactly one pair; if it is not, only those problems are
+    returned.  Otherwise ``_walk`` re-traces every saddle's boundary from
+    the stored gluing (on a perfect matching every walk closes; a walk that
+    drifts off its saddle is the one problem returned), and each saddle's
+    stored cycles must equal the re-traced ones, canonical start and order
+    included; the first place they part is named.  On the re-traced cycles
+    each related band appears once per saddle, a self band twice, and the
+    total boundary length equals the band count.
     """
     problems = []
     bands = bands_of(assignment)
     is_attractor = {o: not order.down_set(o) for o in assignment.owners()}
-    cycle_len = {o: len(assignment.cycle(o)) for o in assignment.owners()}
-    related: dict = {}  # saddle -> keys of the bands that mention it, in key order
-    for key, t in bands.items():
-        for s in {t.left, t.right}:
-            related.setdefault(s, []).append(key)
 
     partner: dict = {}  # a key in several pairs: the last pair wins
-    seen_in_pairs: dict = {}
+    paired = []  # the keys of the pairs of two known bands
     for a, b in gluing:
         partner[a], partner[b] = b, a
-        unknown = [k for k in (a, b) if k not in bands]
-        problems += [f"matching references unknown band {k}" for k in unknown]
-        if unknown:
+        if a not in bands or b not in bands:
+            problems += [
+                f"matching references unknown band {k}" for k in (a, b) if k not in bands
+            ]
             continue
         if not is_attractor.get(a[0], False) or is_attractor.get(b[0], True):
             problems.append(f"pair {a}~{b} does not join the two sides")
@@ -182,64 +190,38 @@ def verify_boundary_cycles(
             problems.append(f"pair {a}~{b} joins incompatible types {ta} / {tb}")
         if ta.mediator != b[0] or tb.mediator != a[0]:
             problems.append(f"pair {a}~{b} crosses the wrong extremal pair")
-        for k in (a, b):
-            seen_in_pairs[k] = seen_in_pairs.get(k, 0) + 1
+        paired += a, b
+    seen_in_pairs = Counter(paired)
     for k in bands:
-        if seen_in_pairs.get(k, 0) != 1:
-            problems.append(f"band {k} is in {seen_in_pairs.get(k, 0)} pairs, not 1")
+        if seen_in_pairs[k] != 1:
+            problems.append(f"band {k} is in {seen_in_pairs[k]} pairs, not 1")
+    if problems:
+        return problems
 
+    cycle_len = {o: len(assignment.cycle(o)) for o in assignment.owners()}
+    try:
+        traced = _walk(order, bands, is_attractor, cycle_len, partner.__getitem__)
+    except PreconditionViolated as exc:
+        return [str(exc)]
+
+    related: dict = {}  # saddle -> keys of the bands that mention it, in key order
+    for key, (left, _, right) in bands.items():
+        related.setdefault(left, []).append(key)
+        if right != left:
+            related.setdefault(right, []).append(key)
     total_len = 0
-    for saddle in sorted(cycles):
-        appearances: dict = {}
-        for seq in cycles[saddle]:
-            if len(seq) < 3 or seq[0] != seq[-1]:
-                problems.append(f"{saddle}: cycle does not close on its first band")
-                continue
-            if len(seq) % 2 == 0:
-                problems.append(f"{saddle}: cycle body has an odd band count {len(seq) - 1}")
-            length = _length(seq)
-            if length % 2 != 0:
-                problems.append(f"{saddle}: odd boundary length {length}")
-            total_len += length
-            body = seq[:-1]
-            for key in body:
-                if key not in bands:
-                    problems.append(f"{saddle}: unknown band {key} in cycle")
-                    break
-                t = bands[key]
-                if saddle not in (t.left, t.right):
-                    problems.append(f"{saddle}: band {key} of type {t} unrelated")
-                appearances[key] = appearances.get(key, 0) + 1
-            else:
-                for i in range(len(seq) - 1):
-                    cur, nxt = seq[i], seq[i + 1]
-                    if i % 2 == 0:  # glue step
-                        if partner.get(cur) != nxt:
-                            problems.append(
-                                f"{saddle}: step {cur}->{nxt} is not a glued pair"
-                            )
-                    else:  # advance step at one extremal point
-                        if cur[0] != nxt[0]:
-                            problems.append(
-                                f"{saddle}: advance {cur}->{nxt} changes extremal point"
-                            )
-                            continue
-                        n = cycle_len[cur[0]]
-                        # the walk starts on a beginning band, so positions
-                        # 0,1 mod 4 are beginning kind and 2,3 are end kind
-                        end_first = i % 4 == 3
-                        beg_key, end_key = (nxt, cur) if end_first else (cur, nxt)
-                        if (beg_key[1] + 1) % n != end_key[1] % n:
-                            problems.append(
-                                f"{saddle}: advance {cur}->{nxt} breaks the"
-                                " end = beginning + 1 rule"
-                            )
+    for saddle in sorted(cycles.keys() | traced.keys()):
+        stored, walked = tuple(map(tuple, cycles.get(saddle, ()))), traced.get(saddle, ())
+        if stored != walked:
+            problems.append(f"{saddle}: {_first_parting(stored, walked)}")
+        total_len += sum(map(_length, walked))
+        appearances = Counter(chain.from_iterable(seq[:-1] for seq in walked))
         for key in related.get(saddle, ()):
             t = bands[key]
             expected = 2 if t.left == t.right else 1
-            if appearances.get(key, 0) != expected:
+            if appearances[key] != expected:
                 problems.append(
-                    f"{saddle}: band {key} appears {appearances.get(key, 0)}"
+                    f"{saddle}: band {key} appears {appearances[key]}"
                     f" times across its cycles, expected {expected}"
                 )
 
@@ -249,3 +231,18 @@ def verify_boundary_cycles(
             f" {assignment.total_bands()}"
         )
     return problems
+
+
+def _first_parting(stored: tuple, traced: tuple) -> str:
+    """Where one saddle's stored boundary cycles, which differ from the
+    re-traced ones, first part from them."""
+    for i, (got, want) in enumerate(zip(stored, traced)):
+        for j, (k, w) in enumerate(zip(got, want)):
+            if k != w:
+                return f"boundary cycle {i} step {j} is {k}, the re-traced walk gives {w}"
+        if len(got) != len(want):
+            return (
+                f"boundary cycle {i} has {len(got)} band keys,"
+                f" the re-traced walk gives {len(want)}"
+            )
+    return f"boundary cycle count is {len(stored)}, the re-traced walk gives {len(traced)}"

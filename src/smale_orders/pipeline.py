@@ -111,10 +111,12 @@ def _invariant_problems(cert: RealizationCertificate, core: FiniteOrder) -> list
     one with a repeller band (al, mediator om, k -> l), so a_kl = r_kl, and
     conditions 1 and 2 give a_kl = a_lk.  2E = band count: every band is in
     exactly one pair of two known bands, and ``edge_count`` counts pairs.
-    Appearance cap: a band related to a saddle appears exactly its cap, and
-    an unrelated one is reported.  The chi checks stay: nothing above gives
-    them, nor do the components give the total, as a boundary entry named
-    outside the order counts in the total chi but in no component's.
+    Appearance cap: a band related to a saddle appears exactly its cap in
+    the re-traced walk, which visits only bands related to the saddle, and
+    the stored cycles must equal that walk.  The chi checks stay: nothing
+    above gives them, nor do the components give the total, as a boundary
+    entry named outside the order counts in the total chi but in no
+    component's.
     """
     problems = assignment_problems(cert.assignment, core)
     problems += verify_boundary_cycles(cert.gluing, cert.boundary, cert.assignment, core)

@@ -168,8 +168,9 @@ def test_verify_rejects_plus_two_advance_jump():
     seq[2] = (owner, (idx + 1) % len(assignment.cycle(owner)))
     broken = dict(cycles)
     broken["s2"] = (tuple(seq),)
-    problems = verify_boundary_cycles(gluing, broken, assignment, order)
-    assert any("end = beginning + 1" in p for p in problems)
+    assert verify_boundary_cycles(gluing, broken, assignment, order) == [
+        "s2: boundary cycle 0 step 2 is ('A', 0), the re-traced walk gives ('A', 3)"
+    ]
 
 
 def test_verify_names_an_odd_band_count_in_a_cycle_body():
@@ -179,8 +180,9 @@ def test_verify_names_an_odd_band_count_in_a_cycle_body():
     seq = cycles["s2"][0]
     broken = dict(cycles)
     broken["s2"] = (seq[:3] + seq[:1],)
-    problems = verify_boundary_cycles(gluing, broken, assignment, order)
-    assert "s2: cycle body has an odd band count 3" in problems
+    assert verify_boundary_cycles(gluing, broken, assignment, order) == [
+        "s2: boundary cycle 0 step 3 is ('w', 0), the re-traced walk gives ('w', 1)"
+    ]
 
 
 def test_verify_rejects_reversed_type_matching():
@@ -220,7 +222,8 @@ def test_small_instance_set_is_nonempty():
 
 def test_glue_output_among_exhaustive_matchings():
     """Oracle equivalence: the lazy matching is one of the type-compatible
-    perfect matchings, and its walk agrees with an independent re-walk."""
+    perfect matchings, its walk agrees with an independent re-walk, and
+    verification accepts every such matching with its re-walk."""
     for order, assignment in small_instances():
         gluing, cycles = glue_bands(assignment, order)
         got_matching = {}
@@ -229,11 +232,14 @@ def test_glue_output_among_exhaustive_matchings():
             got_matching[b] = a
         matchings = list(enumerate_type_matchings(assignment, order))
         assert got_matching in matchings
-        # every type-compatible matching closes into valid boundary cycles
+        # every type-compatible matching closes into valid boundary cycles,
+        # which verification re-traces from that matching's gluing
         valid = 0
         for m in matchings:
             walked = walk_boundaries(assignment, order, m)
             assert oracle_axiom_counts(assignment, order, walked)
+            m_gluing = tuple(sorted((a, b) for a, b in m.items() if not order.down_set(a[0])))
+            assert verify_boundary_cycles(m_gluing, walked, assignment, order) == []
             valid += 1
             if m == got_matching:
                 got_cycles = {s: list(cs) for s, cs in cycles.items()}

@@ -236,7 +236,52 @@ def test_verify_cert_empty_boundary_cycle_is_a_refusal(corpus_dir, tmp_path):
     problems = json.loads(proc.stdout)["problems"]
     assert "boundary cycles of s1 give no domain: boundary lengths must be even" \
         " and >= 2, got -1" in problems
-    assert "s1: cycle does not close on its first band" in problems
+    assert "s1: boundary cycle 0 has 0 band keys, the re-traced walk gives 5" in problems
+
+
+def _rotate_s1_cycle_by_a_block(doc):
+    body = doc["boundary_cycles"]["s1"][0][:-1]
+    body = body[4:] + body[:4]
+    doc["boundary_cycles"]["s1"][0] = body + body[:1]
+
+
+def _swap_first_two_s1_cycles(doc):
+    cycles = doc["boundary_cycles"]["s1"]
+    cycles[0], cycles[1] = cycles[1], cycles[0]
+
+
+@pytest.mark.parametrize(
+    "order, cycles, edit, problem",
+    [
+        (
+            "example.json",
+            "example.cycles.json",
+            _rotate_s1_cycle_by_a_block,
+            "s1: boundary cycle 0 step 0 is ('w', 3), the re-traced walk gives ('w', 1)",
+        ),
+        (
+            "example1.json",
+            None,
+            _swap_first_two_s1_cycles,
+            "s1: boundary cycle 0 step 0 is ('w', 1), the re-traced walk gives ('w', 0)",
+        ),
+    ],
+    ids=["torus-rotated-cycle", "default-swapped-cycles"],
+)
+def test_verify_cert_accepts_only_the_traced_cycle_order(
+    corpus_dir, tmp_path, order, cycles, edit, problem
+):
+    """The same boundary cycles, started on another four-step block or
+    listed in another order, differ from the walk that re-traces them."""
+    cert_path = tmp_path / "cert.json"
+    extra = ["--cycles", str(corpus_dir / cycles)] if cycles else []
+    assert run_cli("realize", str(corpus_dir / order), *extra, "-o", str(cert_path)) == 0
+    doc = json.loads(cert_path.read_text())
+    edit(doc)
+    cert_path.write_text(json.dumps(doc))
+    out = tmp_path / "verify.json"
+    assert run_cli("verify-cert", str(cert_path), "-o", str(out)) == 2
+    assert json.loads(out.read_text())["problems"] == [problem]
 
 
 def test_realize_refuses_cycles_on_an_empty_core(corpus_dir, tmp_path, capsys):

@@ -144,8 +144,12 @@ def test_realize_rejects_broken_boundary(monkeypatch):
         return gluing, {**cycles, "s2": (tuple(seq),)}
 
     monkeypatch.setattr(pipeline, "glue_bands", shifted_glue)
-    with pytest.raises(AssertionError, match=r"end = beginning \+ 1"):
+    with pytest.raises(AssertionError) as exc:
         realize(diamond_order(), example_cycles())
+    assert str(exc.value) == (
+        "construction invariants broken: s2: boundary cycle 0 step 2 is ('A', 0),"
+        " the re-traced walk gives ('A', 3)"
+    )
 
 
 def test_realize_balances_only_external_cycles(monkeypatch):
