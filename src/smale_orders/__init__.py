@@ -46,7 +46,7 @@ from .gradient import (
     check_necessary,
     level_graphs,
 )
-from .pipeline import certificate_from_dict, realize, verify_certificate
+from .pipeline import realize, verify_certificate, verify_document
 
 from .assemble import TOOL_VERSION as __version__
 
@@ -73,7 +73,6 @@ __all__ = [
     "balance_cycles",
     "boundary_profile",
     "build_initial_cycles",
-    "certificate_from_dict",
     "check_connectivity",
     "check_constructible",
     "check_gradient_like",
@@ -87,4 +86,5 @@ __all__ = [
     "repair_profile",
     "verify_boundary_cycles",
     "verify_certificate",
+    "verify_document",
 ]

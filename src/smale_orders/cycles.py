@@ -234,10 +234,7 @@ def build_initial_cycles(order: FiniteOrder) -> CycleAssignment:
     """
     report = check_connectivity(order)
     if not report.passed:
-        raise ConnectivityFailure(
-            f"connectivity condition fails at {', '.join(report.failures())}",
-            report=report,
-        )
+        raise ConnectivityFailure(report)
     return _doubled_euler_cycles(order)
 
 

@@ -49,10 +49,11 @@ class NotExtremal(SmaleOrderError):
 
 
 class ConnectivityFailure(SmaleOrderError):
-    """The order fails the connectivity condition at some extremal element."""
+    """The order fails the connectivity condition at some extremal element;
+    the message names them from the connectivity report."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
+    def __init__(self, report):
+        super().__init__(f"connectivity condition fails at {', '.join(report.failures())}")
         self.report = report
 
 
@@ -89,8 +90,8 @@ class BrokenInvariant(AssertionError):
 
 
 class MalformedCertificate(SmaleOrderError):
-    """Wrong JSON shape of a certificate: a key is missing or holds the
-    wrong container; the message names the JSON path, e.g. domains.s1.recipe."""
+    """Wrong JSON shape of a certificate: a key is missing or holds a value
+    of another JSON type; the message names the JSON path, e.g. gluing[0]."""
 
 
 # --------------------------------------------------------------- domain stage

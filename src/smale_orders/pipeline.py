@@ -2,11 +2,12 @@
 
 ``realize`` runs connectivity -> cycles -> balancing (external cycles
 only) -> band gluing -> profile repair -> domain selection -> assembly and
-returns a certificate.  ``verify_certificate`` recomputes the domains from
-the stored boundary cycles, re-assembles the certificate from its stored
-stage data with the same ``assemble`` and reports every field that differs,
-so certificates can be re-checked after serialization by an independent
-process.
+returns a certificate.  Its order, cycles, gluing and boundary cycles are
+its stage data; both checkers re-derive every other field from them with
+``_domain`` and ``assemble``.  ``verify_certificate`` compares an in-memory
+certificate field by field; ``verify_document`` reads only the stage data
+of a serialized one and compares the whole document with the re-derived
+JSON, so only the writers (``to_dict``) know the derived fields' format.
 
 The stages validate their inputs and build; none re-checks its own output.
 The invariants every correct construction satisfies (cycle conditions,
@@ -14,8 +15,8 @@ boundary-cycle axioms, even chi at most 2) are checked in one place,
 ``_invariant_problems``, on a certificate that ``assemble`` built; star
 balance, 2E = band count and the band appearance cap follow from the first
 two.  ``realize`` runs the check once and raises ``BrokenInvariant``,
-an ``AssertionError`` that names the stage, on any problem, and
-``verify_certificate`` runs it on the re-assembled certificate.  ``_domain``
+an ``AssertionError`` that names the stage, on any problem, and both
+checkers run it on the re-assembled certificate.  ``_domain``
 turns one saddle's boundary cycles into its domain spec and repair log for
 both.  A stored order is not reloaded: every ``FiniteOrder`` comes from
 ``load_order``, ``from_down_sets`` or ``restrict``, so its relation is
@@ -64,10 +65,7 @@ def realize(
     """
     report = check_connectivity(order)
     if not report.passed:
-        raise ConnectivityFailure(
-            f"connectivity condition fails at {', '.join(report.failures())}",
-            report=report,
-        )
+        raise ConnectivityFailure(report)
 
     core = _core(order)
     if assignment is None:
@@ -133,30 +131,61 @@ def _invariant_problems(cert: RealizationCertificate, core: FiniteOrder) -> list
 
 
 # --------------------------------------------------------------------------
-# re-verification and (de)serialization
+# re-verification
 # --------------------------------------------------------------------------
 
 
 def verify_certificate(cert: RealizationCertificate) -> list[str]:
-    """Re-derive the certificate from its own stage data and list every
-    difference and every broken invariant.
+    """Re-derive an in-memory certificate from its own stage data and list
+    every broken invariant and every stored field that differs from the
+    re-derived one.  Stored summary values are only compared, never computed
+    with; ``verify_document`` checks a serialized certificate."""
+    problems, rebuilt = _rederive(cert.order, cert.assignment, cert.gluing, cert.boundary)
+    if rebuilt is not None:
+        problems += [
+            f"stored field {name} differs from the re-assembled certificate"
+            for name, stored, derived in zip(cert._fields, cert, rebuilt)
+            if stored != derived
+        ]
+    return problems
 
-    The domains and repair logs are recomputed from the stored boundary
-    cycles; ``assemble`` then rebuilds the summary from the stored order,
-    cycles, gluing and boundary cycles, and each field of the stored
-    certificate is compared with the rebuilt one.  Stored summary values are
-    only compared, never computed with.
-    """
+
+def verify_document(data) -> list[str]:
+    """Re-derive a serialized certificate from its stage data alone (see
+    ``_stage_data``) and list every broken invariant, then any difference
+    between the document and the re-derived one's ``to_dict``, as the one
+    problem ``re-serialization differs from the input document at ...``
+    naming up to five paths.  JSON types are compared exactly, so ``1``,
+    ``1.0`` and ``true`` differ: unreadable stage data, a missing key or a
+    value of another JSON type raises ``MalformedCertificate`` (``_compare``)."""
+    problems, rebuilt = _rederive(*_stage_data(data))
+    if rebuilt is None:
+        return problems
+    derived = rebuilt.to_dict()
+    for key in ("cycles", "gluing", "boundary_cycles"):  # typed, so == is exact
+        if derived[key] == data[key]:
+            derived[key] = data[key]
+    paths = []
+    _compare(derived, data, "", paths)
+    if paths:
+        where = ", ".join(paths[:5]) + (", ..." if len(paths) > 5 else "")
+        problems.append(f"re-serialization differs from the input document at {where}")
+    return problems
+
+
+def _rederive(order, assignment, gluing, boundary):
+    """The problems found in re-deriving a certificate from its stage data,
+    broken invariants last, and the re-assembled certificate, which is None
+    when the cycles name elements outside the core order."""
     problems = []
-    order = cert.order
     report = check_connectivity(order)
     if not report.passed:
         problems.append(f"order fails connectivity at {report.failures()}")
 
     domains, repairs = {}, {}
-    for saddle in sorted(cert.boundary):
+    for saddle in sorted(boundary):
         try:
-            domains[saddle], repairs[saddle] = _domain(cert.boundary[saddle])
+            domains[saddle], repairs[saddle] = _domain(boundary[saddle])
         except ValueError as exc:  # no valid length profile
             problems.append(f"boundary cycles of {saddle} give no domain: {exc}")
 
@@ -165,7 +194,7 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
     # extremal is reported by the invariants, an extremal one without a
     # cycle here
     core = _core(order)
-    owners, elements = set(cert.assignment.owners()), set(core.elements)
+    owners, elements = set(assignment.owners()), set(core.elements)
     missing = sorted(set(core.maximal_elements + core.minimal_elements) - owners)
     if missing:
         problems.append(f"extremal elements {', '.join(missing)} have no cycle")
@@ -173,30 +202,66 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
     if strays:
         return problems + [
             f"cycle owners {', '.join(strays)} are not elements of the core order"
-        ]
-    named = {e for owner in owners for t in cert.assignment.cycle(owner) for e in t}
+        ], None
+    named = {e for owner in owners for t in assignment.cycle(owner) for e in t}
     strays = sorted(named - elements)
     if strays:
         return problems + [
             f"cycle transitions name {', '.join(strays)}, which are not elements"
             " of the core order"
-        ]
-
-    rebuilt = assemble(order, cert.assignment, cert.gluing, cert.boundary, domains, repairs)
-    problems += [
-        f"stored field {name} differs from the re-assembled certificate"
-        for name, stored, derived in zip(cert._fields, cert, rebuilt)
-        if stored != derived
-    ]
-    return problems + _invariant_problems(rebuilt, core)
+        ], None
+    rebuilt = assemble(order, assignment, gluing, boundary, domains, repairs)
+    return problems + _invariant_problems(rebuilt, core), rebuilt
 
 
-_KIND_NAMES = {dict: "an object", list: "an array", int: "an integer", bool: "a boolean"}
+_KIND_NAMES = {
+    dict: "an object", list: "an array", int: "an integer", bool: "a boolean",
+    str: "a string", type(None): "null",
+}
+_NESTED = {dict, list}
+
+
+def _compare(derived, stored, where: str, paths: list | None) -> None:
+    """Walk the stored document along the derived one and append each path
+    where they differ (a key only the stored object has, an array of another
+    length, another scalar) to ``paths``, unless it is None.  A value of
+    another JSON type, or a key the stored object lacks once its other keys
+    are walked, raises ``MalformedCertificate``."""
+    if derived is stored:
+        return
+    kind = derived.__class__
+    if stored.__class__ is not kind:  # True is no integer, 1.0 none either
+        raise MalformedCertificate(f"{where}: expected {_KIND_NAMES[kind]}")
+    if kind is dict:
+        missing = None
+        for key in sorted(derived.keys() | stored.keys()):
+            at = f"{where}.{key}" if where else key
+            if key not in stored:
+                missing = missing or at
+            elif key not in derived:
+                if paths is not None:
+                    paths.append(at)
+            else:
+                _compare(derived[key], stored[key], at, paths)
+        if missing:
+            raise MalformedCertificate(f"{missing}: missing")
+    elif kind is list:
+        kinds = list(map(type, derived))
+        if derived == stored and kinds == list(map(type, stored)) and not _NESTED & set(kinds):
+            return  # equal scalars of the same JSON types: most of a repair log
+        if len(derived) != len(stored):
+            if paths is not None:
+                paths.append(where)
+            paths = None  # the common items are only type-checked
+        for i, (d, s) in enumerate(zip(derived, stored)):
+            _compare(d, s, f"{where}[{i}]", paths)
+    elif derived != stored and paths is not None:
+        paths.append(where)
 
 
 def _field(doc: dict, key: str, kind: type | None = None, path: str = ""):
-    """doc[key], which must exist and, given a kind, be of that JSON type
-    (dict, list, int or bool); otherwise MalformedCertificate names the path."""
+    """doc[key], which must exist and, given a kind, be of that JSON type;
+    otherwise MalformedCertificate names the path."""
     where = f"{path}.{key}" if path else key
     if key not in doc:
         raise MalformedCertificate(f"{where}: missing")
@@ -209,134 +274,55 @@ def _of_kind(value, kind: type | None, where: str):
     return value
 
 
-def _items(doc: dict, key: str, kind: type, path: str = "") -> list:
-    """The array doc[key], every item of which must be of the given kind;
-    the path is formatted only for a wrong item, as repair logs are long."""
+def _arrays(doc: dict, key: str, path: str = "") -> list:
+    """The array doc[key], every item of which must be an array."""
     items = _field(doc, key, list, path)
     for i, item in enumerate(items):
-        if type(item) is not kind:
-            _of_kind(item, kind, f"{path}.{key}[{i}]" if path else f"{key}[{i}]")
+        if type(item) is not list:
+            _of_kind(item, list, f"{path}.{key}[{i}]" if path else f"{key}[{i}]")
     return items
 
 
 def _read(read, value, where: str):
-    """read(value) by a nested reader or an enum, its errors naming the JSON
-    path from the top of the certificate."""
+    """read(value), its errors naming the JSON path from the top level."""
     try:
         return read(value)
     except (MalformedOrder, MalformedCycles) as exc:  # from a path inside value
         raise type(exc)(f"{where}.{exc}") from None
-    except ValueError as exc:  # "'x' is not a valid Role"
-        raise MalformedCertificate(f"{where}: {exc}") from None
 
 
-def _band_key(value, where: str) -> tuple[str, int]:
-    """A band key, stored as an [owner, index] array."""
-    if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)):
-        raise MalformedCertificate(f"{where}: expected an [owner, index] array")
-    return value[0], _of_kind(value[1], int, f"{where}[1]")
+def _band_keys(seq: list, where: str) -> tuple:
+    """The band keys in an array, each stored as an [owner, index] array."""
+    for j, k in enumerate(seq):
+        if not (isinstance(k, list) and len(k) == 2 and isinstance(k[0], str)):
+            raise MalformedCertificate(f"{where}[{j}]: expected an [owner, index] array")
+        if type(k[1]) is not int:  # True is no integer here
+            raise MalformedCertificate(f"{where}[{j}][1]: expected an integer")
+    return tuple(map(tuple, seq))
 
 
-def certificate_from_dict(data: dict) -> RealizationCertificate:
-    """Rebuild a certificate from its serialized form.  A key that is
-    missing or holds a value of the wrong JSON type raises
+def _stage_data(data) -> tuple:
+    """The order, cycle assignment, gluing and boundary cycles a serialized
+    certificate stores, the inputs every other field is derived from.  A key
+    that is missing or holds a value of the wrong JSON type raises
     ``MalformedCertificate`` (or, inside ``order`` and ``cycles``,
     ``MalformedOrder`` and ``MalformedCycles``) naming the JSON path."""
-    from .domains import Recipe, RecipeKind, RepairOp, RepairStep
-    from .assemble import ComponentSummary
-    from .order import RoleMap, Role
-
     _of_kind(data, dict, "top level")
-    # only type-checked: the CLI's re-serialization check compares the value
-    _of_kind(data.get("schema_version", 0), int, "schema_version")
     order_doc = _field(data, "order", dict)
-    order = _read(
-        load_order,
-        {
-            "elements": _field(order_doc, "elements", path="order"),
-            "relations": _field(order_doc, "relations", path="order"),
-        },
-        "order",
-    )
-    roles = RoleMap(
-        roles={
-            e: _read(Role, v, f"roles.{e}") for e, v in _field(data, "roles", dict).items()
-        },
-        generations={
-            e: _of_kind(g, int, f"generations.{e}")
-            for e, g in _field(data, "generations", dict).items()
-        },
-    )
+    spec = {key: _field(order_doc, key, path="order") for key in ("elements", "relations")}
+    order = _read(load_order, spec, "order")
     assignment = _read(CycleAssignment.from_dict, _field(data, "cycles", dict), "cycles")
     pairs = []
-    for i, pair in enumerate(_items(data, "gluing", list)):
+    for i, pair in enumerate(_arrays(data, "gluing")):
         if len(pair) != 2:
             raise MalformedCertificate(f"gluing[{i}]: expected a pair of band keys")
-        pairs.append(tuple(_band_key(k, f"gluing[{i}][{j}]") for j, k in enumerate(pair)))
-    gluing = tuple(sorted(pairs))
+        pairs.append(_band_keys(pair, f"gluing[{i}]"))
     boundary_docs = _field(data, "boundary_cycles", dict)
     boundary = {
         s: tuple(
-            tuple(_band_key(k, f"boundary_cycles.{s}[{i}][{j}]") for j, k in enumerate(seq))
-            for i, seq in enumerate(_items(boundary_docs, s, list, "boundary_cycles"))
+            _band_keys(seq, f"boundary_cycles.{s}[{i}]")
+            for i, seq in enumerate(_arrays(boundary_docs, s, "boundary_cycles"))
         )
         for s in boundary_docs
     }
-    domains = {}
-    for s, d in _field(data, "domains", dict).items():
-        where = f"domains.{s}"
-        recipe_doc = _field(_of_kind(d, dict, where), "recipe", dict, where)
-        at = f"{where}.recipe"
-        recipe = Recipe(
-            kind=_read(RecipeKind, _field(recipe_doc, "kind", path=at), f"{at}.kind"),
-            prongs=tuple(_items(recipe_doc, "prongs", int, at)),
-            saddle_openings=_field(recipe_doc, "saddle_openings", int, at),
-        )
-        domains[s] = DomainSpec(
-            profile=LengthProfile(tuple(_items(d, "profile", int, where))),
-            genus=_field(d, "genus", int, where),
-            recipe=recipe,
-        )
-    repairs = {}
-    repair_docs = _field(data, "repairs", dict)
-    for s in repair_docs:
-        steps = []
-        for i, step in enumerate(_items(repair_docs, s, dict, "repairs")):
-            where = f"repairs.{s}[{i}]"
-            steps.append(
-                RepairStep(
-                    op=_read(RepairOp, _field(step, "op", path=where), f"{where}.op"),
-                    before=tuple(_items(step, "before", int, where)),
-                    after=tuple(_items(step, "after", int, where)),
-                )
-            )
-        if steps:
-            repairs[s] = RepairLog(steps=tuple(steps))
-    genus = _field(data, "genus")  # null for a disconnected assembly
-    return RealizationCertificate(
-        order=order,
-        roles=roles,
-        assignment=assignment,
-        gluing=gluing,
-        boundary=boundary,
-        domains=domains,
-        repairs=repairs,
-        north_south=tuple(tuple(p) for p in _items(data, "north_south", list)),
-        handle_pairs=tuple(tuple(p) for p in _items(data, "handles", list)),
-        vertex_count=_field(data, "vertex_count", int),
-        edge_count=_field(data, "edge_count", int),
-        handle_count=_field(data, "handle_count", int),
-        repair_extra_pairs=_field(data, "repair_extra_pairs", int),
-        chi=_field(data, "chi", int),
-        connected=_field(data, "connected", bool),
-        genus=None if genus is None else _of_kind(genus, int, "genus"),
-        components=tuple(
-            ComponentSummary(
-                elements=tuple(_field(c, "elements", list, f"components[{i}]")),
-                chi=_field(c, "chi", int, f"components[{i}]"),
-                genus=_field(c, "genus", int, f"components[{i}]"),
-            )
-            for i, c in enumerate(_items(data, "components", dict))
-        ),
-        notes=tuple(_field(data, "notes", list)),
-    )
+    return order, assignment, tuple(sorted(pairs)), boundary

@@ -361,15 +361,20 @@ def _edit_notes(doc):
 
 
 @pytest.mark.parametrize(
-    "order, edit, field",
+    "order, edit, where",
     [
-        (THREE_PIECES, _swap_component_characteristics, "components"),
-        (THREE_PIECES, _drop_component_element, "components"),
-        (None, _edit_notes, "notes"),
+        (
+            THREE_PIECES,
+            _swap_component_characteristics,
+            "components[0].chi, components[0].genus, components[2].chi, components[2].genus",
+        ),
+        (THREE_PIECES, _drop_component_element, "components[0].elements"),
+        (None, _edit_notes, "notes[0]"),
     ],
     ids=["swapped-component-chi", "component-elements", "notes"],
 )
-def test_verify_cert_compares_every_derived_field(tmp_path, order, edit, field):
+def test_verify_cert_compares_every_derived_field(tmp_path, order, edit, where):
+    """A derived field is compared with the re-derived document, not read."""
     doc = realize(load_order(order) if order else diamond_order()).to_dict()
     edit(doc)
     cert_path = tmp_path / "cert.json"
@@ -377,7 +382,7 @@ def test_verify_cert_compares_every_derived_field(tmp_path, order, edit, field):
     out = tmp_path / "verify.json"
     assert run_cli("verify-cert", str(cert_path), "-o", str(out)) == 2
     assert json.loads(out.read_text())["problems"] == [
-        f"stored field {field} differs from the re-assembled certificate"
+        f"re-serialization differs from the input document at {where}"
     ]
 
 
@@ -460,18 +465,14 @@ def _set(*path_and_value):
         (_set("genus", False), "genus"),
         (_set("handle_count", False), "handle_count"),
         (_set("schema_version", True), "schema_version"),
-        # paths through the order and cycle readers, and enum values
+        # paths through the order and cycle readers
         (_set("cycles", "w", 1, 5), "cycles.w[1]"),
         (_set("order", "elements", "ab"), "order.elements"),
-        (_set("roles", "A", "bogus"), "roles.A"),
-        (_set("domains", "s1", "recipe", "kind", "bogus"), "domains.s1.recipe.kind"),
-        (_set("repairs", "s1", 0, "op", "bogus"), "repairs.s1[0].op"),
     ],
     ids=["array", "order-5", "empty", "roles-5", "band-key-5", "band-index-x",
          "boundary-key-x", "generation-array", "profile-x", "profile-array",
          "connected-1", "chi-float", "genus-false", "handle-count-false", "schema-true",
-         "cycles-item-5", "order-elements-string", "role-bogus",
-         "recipe-kind-bogus", "repair-op-bogus"],
+         "cycles-item-5", "order-elements-string"],
 )
 def test_malformed_certificates_are_input_errors(corpus_dir, tmp_path, edit, path):
     cert_path = tmp_path / "cert.json"
@@ -481,6 +482,65 @@ def test_malformed_certificates_are_input_errors(corpus_dir, tmp_path, edit, pat
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: unreadable certificate: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (_set("roles", "A", "bogus"), "roles.A"),
+        (_set("domains", "s1", "recipe", "kind", "bogus"), "domains.s1.recipe.kind"),
+        (_set("repairs", "s1", 0, "op", "bogus"), "repairs.s1[0].op"),
+    ],
+    ids=["role-bogus", "recipe-kind-bogus", "repair-op-bogus"],
+)
+def test_unknown_derived_strings_are_refusals(corpus_dir, tmp_path, edit, where):
+    """A role, recipe kind or repair operation is a derived string: another
+    one is a difference from the re-derived document, not unreadable."""
+    cert_path = tmp_path / "cert.json"
+    run_cli("realize", str(corpus_dir / "example1.json"), "-o", str(cert_path))
+    cert_path.write_text(json.dumps(edit(json.loads(cert_path.read_text()))))
+    proc = run_module("verify-cert", str(cert_path))
+    assert proc.returncode == 2
+    assert (proc.stderr, json.loads(proc.stdout)) == (
+        "",
+        {
+            "passed": False,
+            "problems": [f"re-serialization differs from the input document at {where}"],
+        },
+    )
+
+
+def _scalar_sites(node, path=()):
+    """The path and value of every scalar below node."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _scalar_sites(value, path + (key,))
+    else:
+        yield path, node
+
+
+def _json_path(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def test_verify_cert_refuses_every_impostor(tmp_path, capsys):
+    """Every integer of the diamond's default certificate written as the
+    equal float, every 0 or 1 as the equal boolean, and ``connected`` as 1:
+    Python compares each equal to the original, and each exits 1 naming
+    its path."""
+    doc = realize(diamond_order()).to_dict()
+    edits = [(path, float(v)) for path, v in _scalar_sites(doc) if type(v) is int]
+    edits += [(path, bool(v)) for path, v in _scalar_sites(doc) if type(v) is int and v in (0, 1)]
+    edits.append((("connected",), 1))
+    assert len(edits) == 180
+    cert_path = tmp_path / "cert.json"
+    for path, value in edits:
+        impostor = _set(*path, value)(doc)
+        assert impostor == doc
+        cert_path.write_text(json.dumps(impostor))
+        assert run_cli("verify-cert", str(cert_path)) == 1, (path, value)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unreadable certificate: {_json_path(path)}: expected "), err
 
 
 def _assert_json_dumps_layout(text: str):
@@ -625,6 +685,33 @@ def test_malformed_order_files_are_input_errors(tmp_path, spec, path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {path}: expected ")
+
+
+def test_non_utf8_order_files_are_input_errors(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    for command in COMMANDS[:-1]:  # all but verify-cert, which reads a certificate
+        proc = run_module(command, str(bad), "-o", str(tmp_path / "out"))
+        assert (proc.returncode, proc.stdout) == (1, ""), command
+        assert proc.stderr == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 0:"
+            " invalid start byte\n"
+        ), command
+    assert not (tmp_path / "out").exists()
+
+
+def test_json_nested_past_the_recursion_limit_is_an_input_error(corpus_dir, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    order = str(corpus_dir / "example1.json")
+    for argv, prefix in [
+        (["validate", str(deep)], "error: "),
+        (["realize", order, "--cycles", str(deep)], "error: "),
+        (["verify-cert", str(deep)], "error: unreadable certificate: "),
+    ]:
+        proc = run_module(*argv)
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        assert proc.stderr == f"{prefix}{deep}: JSON nested too deeply\n", argv
 
 
 @pytest.mark.parametrize("command", ["realize", "export-dot"])

@@ -16,7 +16,7 @@ from smale_orders.corpus import diamond_order, example1_cycles
 from smale_orders.cycles import CycleAssignment, assignment_problems
 from smale_orders.errors import StarViolated
 from smale_orders.order import load_order
-from smale_orders.pipeline import certificate_from_dict, realize
+from smale_orders.pipeline import _stage_data, realize
 
 # the diamond with a second repeller B over both saddles
 TWO_REPELLERS = {
@@ -62,8 +62,8 @@ def _boundary_problems(tamper) -> list[str]:
     edits its JSON form; the gluing is [(w,0)~(A,0), (w,1)~(A,1)]."""
     doc = json.loads(json.dumps(realize(diamond_order(), example1_cycles()).to_dict()))
     tamper(doc)
-    cert = certificate_from_dict(doc)
-    return verify_boundary_cycles(cert.gluing, cert.boundary, cert.assignment, diamond_order())
+    _, assignment, gluing, boundary = _stage_data(doc)
+    return verify_boundary_cycles(gluing, boundary, assignment, diamond_order())
 
 
 def test_pair_not_joining_the_two_sides_message():

@@ -11,18 +11,20 @@ from smale_orders.corpus import IMPOSSIBLE_ORDER, diamond_order, example1_cycles
 from smale_orders.cycles import CycleAssignment, balance_cycles, build_initial_cycles
 from smale_orders.errors import ConnectivityFailure, PreconditionViolated
 from smale_orders.order import check_connectivity, from_down_sets, load_order
-from smale_orders.pipeline import certificate_from_dict, realize, verify_certificate
+from smale_orders.pipeline import _stage_data, realize, verify_certificate, verify_document
 
 from helpers import injected_assignment, usable_orders, verify_star
 
 
 def test_round_trip_serialization_is_bit_exact():
+    """A certificate's JSON reads back as its own stage data, and the
+    document re-derived from those equals it, JSON types included."""
     for order in usable_orders(4):
         cert = realize(order)
-        doc = cert.to_dict()
-        rebuilt = certificate_from_dict(json.loads(json.dumps(doc)))
-        assert rebuilt.to_dict() == doc
-        assert verify_certificate(rebuilt) == []
+        doc = json.loads(json.dumps(cert.to_dict()))
+        assert _stage_data(doc) == (cert.order, cert.assignment, cert.gluing, cert.boundary)
+        assert verify_document(doc) == []
+        assert verify_certificate(cert) == []
 
 
 def test_realize_rejects_wrong_assignment_owners():
@@ -101,16 +103,20 @@ def test_realize_balances_injected_assignments():
 
 def test_verify_certificate_flags_tampered_fields():
     cert = realize(diamond_order(), example1_cycles())
+    assert verify_certificate(cert._replace(genus=5)) == [
+        "stored field genus differs from the re-assembled certificate"
+    ]
     doc = cert.to_dict()
     doc["genus"] = 5
-    bad = certificate_from_dict(doc)
-    assert any("genus" in p for p in verify_certificate(bad))
+    assert verify_document(doc) == [
+        "re-serialization differs from the input document at genus"
+    ]
 
 
 def test_verify_certificate_reports_saddle_owned_cycle():
     doc = realize(diamond_order(), example1_cycles()).to_dict()
     doc["cycles"]["s1"] = [["A", "w", "A"]]
-    problems = verify_certificate(certificate_from_dict(doc))
+    problems = verify_document(doc)
     assert "'s1' is a saddle, not an extremal element" in problems
     assert "band ('s1', 0) is in 0 pairs, not 1" in problems
 
