@@ -130,8 +130,9 @@ def assemble(
     """Derive the whole certificate summary from the stage data.
 
     Counts, handles, chi, genus, components and notes are computed here and
-    nowhere else; ``verify_certificate`` calls this again on a certificate's
-    stored stage data and compares the result field by field.
+    nowhere else, from the boundary cycles re-traced from the gluing;
+    ``realize``, ``verify_certificate`` and ``verify_document`` all reach
+    it through the same re-derivation, ``pipeline._rederive``.
 
     One handle is added per saddle-saddle cover pair (relations between
     non-cover saddle pairs follow from transitivity), dropping chi by two.

@@ -20,18 +20,20 @@ the end band sits at the beginning band's index plus one, the single
 indexation axiom.  ``glue_bands`` chooses partners lazily during the walk,
 first available in index order, which is what makes the length-4 cycle
 example close into one long boundary component instead of two short ones;
-``verify_boundary_cycles`` walks a stored gluing again and compares.  Every
-walk closes without repeating a band: a band gets its partner once and
-advancing is a bijection, so the block map is injective and its orbits are
-disjoint cycles; the sides alternate because a partner is always on the
-other side.  Unchained cycles can only break the adjacency: an advance onto
-a band not mentioning the saddle raises ``PreconditionViolated``.
+it returns only the gluing.  ``verify_boundary_cycles`` checks a gluing and
+walks it again, and that re-trace is the boundary every certificate
+stores.  Every walk closes without repeating a band: a band gets its
+partner once and advancing is a bijection, so the block map is injective
+and its orbits are disjoint cycles; the sides alternate because a partner
+is always on the other side.  Unchained cycles can only break the
+adjacency: an advance onto a band not mentioning the saddle raises
+``PreconditionViolated``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress
+from itertools import compress
 
 from .errors import PreconditionViolated, StarViolated
 from .order import FiniteOrder, _flags
@@ -53,13 +55,12 @@ def bands_of(assignment: CycleAssignment) -> dict:
     }
 
 
-def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
-    """Match bands across sides and walk out every saddle's boundary cycles.
+def glue_bands(assignment: CycleAssignment, order: FiniteOrder) -> tuple:
+    """Match bands across sides in the order the boundary walks need them.
 
     A band is matched when ``_walk`` first needs its partner, to the first
     not-yet-matched compatible band in index order.  Returns the complete
-    gluing and a map from saddle to its boundary cycles; raises
-    ``StarViolated`` when some band finds no partner and
+    gluing; raises ``StarViolated`` when some band finds no partner and
     ``PreconditionViolated`` when a four-step walk drifts off the saddle.
     """
     bands = bands_of(assignment)
@@ -90,14 +91,13 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder):
                 return cand
         raise StarViolated(f"no compatible partner left for band {key} of type {t}")
 
-    cycles = _walk(order, bands, is_attractor, cycle_len, partner_of)
+    _walk(order, bands, is_attractor, cycle_len, partner_of)
 
     unmatched = sorted(k for k in bands if k not in partner)
     if unmatched:
         raise StarViolated(f"bands left unmatched: {unmatched}")
 
-    gluing = tuple(sorted((a, partner[a]) for a in bands if is_attractor[a[0]]))
-    return gluing, cycles
+    return tuple(sorted((a, partner[a]) for a in bands if is_attractor[a[0]]))
 
 
 def _walk(order: FiniteOrder, bands: dict, is_attractor: dict, cycle_len: dict, partner_of):
@@ -151,24 +151,18 @@ def boundary_profile(cycles) -> tuple[int, ...]:
 
 
 def verify_boundary_cycles(
-    gluing: tuple,
-    cycles: dict,
-    assignment: CycleAssignment,
-    order: FiniteOrder,
-) -> list[str]:
+    gluing: tuple, assignment: CycleAssignment, order: FiniteOrder
+) -> tuple[list[str], dict | None]:
     """Independently re-check the gluing and re-trace the boundary cycles.
 
-    Returns a list of violations (empty means pass).  The matching must be
-    perfect and type compatible: every pair joins two known bands of the
-    same saddle pair on opposite sides with crossed mediators, and every
-    band is in exactly one pair; if it is not, only those problems are
-    returned.  Otherwise ``_walk`` re-traces every saddle's boundary from
-    the stored gluing (on a perfect matching every walk closes; a walk that
-    drifts off its saddle is the one problem returned), and each saddle's
-    stored cycles must equal the re-traced ones, canonical start and order
-    included; the first place they part is named.  On the re-traced cycles
-    each related band appears once per saddle, a self band twice, and the
-    total boundary length equals the band count.
+    Returns the list of violations (empty means pass) and every core
+    saddle's boundary cycles, which are None on a violation.  The matching
+    must be perfect and type compatible: every pair joins two known bands of
+    the same saddle pair on opposite sides with crossed mediators, and every
+    band is in exactly one pair; if it is not, those problems are returned.
+    Otherwise ``_walk`` re-traces every saddle's boundary from the gluing
+    (on a perfect matching every walk closes; a walk that drifts off its
+    saddle is the one problem returned).
     """
     problems = []
     bands = bands_of(assignment)
@@ -196,53 +190,10 @@ def verify_boundary_cycles(
         if seen_in_pairs[k] != 1:
             problems.append(f"band {k} is in {seen_in_pairs[k]} pairs, not 1")
     if problems:
-        return problems
+        return problems, None
 
     cycle_len = {o: len(assignment.cycle(o)) for o in assignment.owners()}
     try:
-        traced = _walk(order, bands, is_attractor, cycle_len, partner.__getitem__)
+        return [], _walk(order, bands, is_attractor, cycle_len, partner.__getitem__)
     except PreconditionViolated as exc:
-        return [str(exc)]
-
-    related: dict = {}  # saddle -> keys of the bands that mention it, in key order
-    for key, (left, _, right) in bands.items():
-        related.setdefault(left, []).append(key)
-        if right != left:
-            related.setdefault(right, []).append(key)
-    total_len = 0
-    for saddle in sorted(cycles.keys() | traced.keys()):
-        stored, walked = tuple(map(tuple, cycles.get(saddle, ()))), traced.get(saddle, ())
-        if stored != walked:
-            problems.append(f"{saddle}: {_first_parting(stored, walked)}")
-        total_len += sum(map(_length, walked))
-        appearances = Counter(chain.from_iterable(seq[:-1] for seq in walked))
-        for key in related.get(saddle, ()):
-            t = bands[key]
-            expected = 2 if t.left == t.right else 1
-            if appearances[key] != expected:
-                problems.append(
-                    f"{saddle}: band {key} appears {appearances[key]}"
-                    f" times across its cycles, expected {expected}"
-                )
-
-    if total_len != assignment.total_bands():
-        problems.append(
-            f"total boundary length {total_len} differs from band count"
-            f" {assignment.total_bands()}"
-        )
-    return problems
-
-
-def _first_parting(stored: tuple, traced: tuple) -> str:
-    """Where one saddle's stored boundary cycles, which differ from the
-    re-traced ones, first part from them."""
-    for i, (got, want) in enumerate(zip(stored, traced)):
-        for j, (k, w) in enumerate(zip(got, want)):
-            if k != w:
-                return f"boundary cycle {i} step {j} is {k}, the re-traced walk gives {w}"
-        if len(got) != len(want):
-            return (
-                f"boundary cycle {i} has {len(got)} band keys,"
-                f" the re-traced walk gives {len(want)}"
-            )
-    return f"boundary cycle count is {len(stored)}, the re-traced walk gives {len(traced)}"
+        return [str(exc)], None

@@ -2,24 +2,23 @@
 
 ``realize`` runs connectivity -> cycles -> balancing (external cycles
 only) -> band gluing -> profile repair -> domain selection -> assembly and
-returns a certificate.  Its order, cycles, gluing and boundary cycles are
-its stage data; both checkers re-derive every other field from them with
-``_domain`` and ``assemble``.  ``verify_certificate`` compares an in-memory
-certificate field by field; ``verify_document`` reads only the stage data
-of a serialized one and compares the whole document with the re-derived
-JSON, so only the writers (``to_dict``) know the derived fields' format.
+returns a certificate.  Its order, cycles and gluing are its stage data;
+every other field, the boundary cycles included, is derived from them by
+one re-derivation, ``_rederive``: the cycle conditions, the matching check
+and boundary walk of ``verify_boundary_cycles``, ``_domain`` per saddle,
+``assemble`` and the chi checks.  ``realize`` builds the stage data and
+builds the certificate through ``_rederive``; ``verify_certificate``
+re-derives an in-memory certificate and compares it field by field;
+``verify_document`` reads only the stage data of a serialized one and
+compares the whole document with the re-derived JSON, so only the writers
+(``to_dict``) know the derived fields' format.
 
 The stages validate their inputs and build; none re-checks its own output.
-The invariants every correct construction satisfies (cycle conditions,
-boundary-cycle axioms, even chi at most 2) are checked in one place,
-``_invariant_problems``, on a certificate that ``assemble`` built; star
-balance, 2E = band count and the band appearance cap follow from the first
-two.  ``realize`` runs the check once and raises ``BrokenInvariant``,
-an ``AssertionError`` that names the stage, on any problem, and both
-checkers run it on the re-assembled certificate.  ``_domain``
-turns one saddle's boundary cycles into its domain spec and repair log for
-both.  A stored order is not reloaded: every ``FiniteOrder`` comes from
-``load_order``, ``from_down_sets`` or ``restrict``, so its relation is
+The invariants every correct construction satisfies are checked in one
+place, ``_rederive``; ``realize`` raises ``BrokenInvariant``, an
+``AssertionError`` that names the stage, on any problem, and both checkers
+report them.  A stored order is not reloaded: every ``FiniteOrder`` comes
+from ``load_order``, ``from_down_sets`` or ``restrict``, so its relation is
 closed and its covers derived.
 """
 
@@ -72,14 +71,7 @@ def realize(
         assignment = _doubled_euler_cycles(core)
     else:
         assignment = balance_cycles(assignment, core)
-    gluing, boundary = glue_bands(assignment, core)
-
-    domains, repairs = {}, {}
-    for saddle in sorted(boundary):
-        domains[saddle], repairs[saddle] = _domain(boundary[saddle])
-
-    certificate = assemble(order, assignment, gluing, boundary, domains, repairs)
-    problems = _invariant_problems(certificate, core)
+    problems, certificate = _rederive(order, assignment, glue_bands(assignment, core))
     if problems:
         raise BrokenInvariant(
             "invariants", "construction invariants broken: " + "; ".join(problems)
@@ -100,24 +92,29 @@ def _domain(cycles) -> tuple[DomainSpec, RepairLog]:
     return check_constructible(repaired)[1], log
 
 
-def _invariant_problems(cert: RealizationCertificate, core: FiniteOrder) -> list[str]:
-    """Every invariant a correct construction satisfies, each checked once,
-    on a certificate that ``assemble`` built, with or without cycles.
+def _invariant_problems(cert: RealizationCertificate) -> list[str]:
+    """The chi checks on a certificate that ``assemble`` built from cycles
+    and a gluing that ``_rederive`` has checked.
 
-    Three more follow when the cycle and boundary checks pass.  Star
+    The cycle conditions (``assignment_problems``) and the matching check
+    and walk of ``verify_boundary_cycles`` give every other invariant.  Star
     balance: each attractor band (om, mediator al, k -> l) is paired one to
     one with a repeller band (al, mediator om, k -> l), so a_kl = r_kl, and
     conditions 1 and 2 give a_kl = a_lk.  2E = band count: every band is in
     exactly one pair of two known bands, and ``edge_count`` counts pairs.
-    Appearance cap: a band related to a saddle appears exactly its cap in
-    the re-traced walk, which visits only bands related to the saddle, and
-    the stored cycles must equal that walk.  The chi checks stay: nothing
-    above gives them, nor do the components give the total, as a boundary
-    entry named outside the order counts in the total chi but in no
-    component's.
+    Band appearances and total length: on a perfect, type-compatible
+    matching and chained cycles the walk never drifts, and a block (glue,
+    +1, glue, -1) from an attractor band ending at saddle s visits a
+    repeller band ending at s, the repeller band beginning at s after it, an
+    attractor band beginning at s and the attractor band ending at s before
+    it.  Matching within a type and advancing along a chained cycle are
+    bijections between these four classes, so the block map is a permutation
+    of the attractor bands ending at s and the blocks visit each class once:
+    a band related to s appears once in s's cycles, a self band (s -> s)
+    twice, and the total length, two per block, is 2 * |attractor bands| =
+    band count.  The chi checks stay, as nothing above gives them.
     """
-    problems = assignment_problems(cert.assignment, core)
-    problems += verify_boundary_cycles(cert.gluing, cert.boundary, cert.assignment, core)
+    problems = []
     if cert.chi % 2:
         problems.append(f"odd Euler characteristic {cert.chi}")
     if cert.connected and cert.chi > 2:
@@ -140,7 +137,8 @@ def verify_certificate(cert: RealizationCertificate) -> list[str]:
     every broken invariant and every stored field that differs from the
     re-derived one.  Stored summary values are only compared, never computed
     with; ``verify_document`` checks a serialized certificate."""
-    problems, rebuilt = _rederive(cert.order, cert.assignment, cert.gluing, cert.boundary)
+    problems, rebuilt = _rederive(cert.order, cert.assignment, cert.gluing)
+    problems = _connectivity_problems(cert.order) + problems
     if rebuilt is not None:
         problems += [
             f"stored field {name} differs from the re-assembled certificate"
@@ -156,45 +154,53 @@ def verify_document(data) -> list[str]:
     between the document and the re-derived one's ``to_dict``, as the one
     problem ``re-serialization differs from the input document at ...``
     naming up to five paths.  JSON types are compared exactly, so ``1``,
-    ``1.0`` and ``true`` differ: unreadable stage data, a missing key or a
-    value of another JSON type raises ``MalformedCertificate`` (``_compare``)."""
-    problems, rebuilt = _rederive(*_stage_data(data))
+    ``1.0`` and ``true`` differ: unreadable stage data raises
+    ``MalformedCertificate``, and so does a missing key or a value of
+    another JSON type (``_compare``) unless the re-derivation found
+    problems, when its path is one more difference."""
+    order, assignment, gluing = _stage_data(data)
+    problems, rebuilt = _rederive(order, assignment, gluing)
+    problems = _connectivity_problems(order) + problems
     if rebuilt is None:
         return problems
     derived = rebuilt.to_dict()
-    for key in ("cycles", "gluing", "boundary_cycles"):  # typed, so == is exact
+    for key in ("cycles", "gluing"):  # typed by _stage_data, so == is exact
         if derived[key] == data[key]:
             derived[key] = data[key]
-    paths = []
-    _compare(derived, data, "", paths)
+    stored = data.get("boundary_cycles")
+    # == would take 1.0 or true for an index 1; the equal keys are arrays
+    if derived["boundary_cycles"] == stored and all(
+        type(key[1]) is int for cycles in stored.values() for c in cycles for key in c
+    ):
+        derived["boundary_cycles"] = stored
+    paths, malformed = [], []
+    _compare(derived, data, "", paths, malformed)
+    if malformed and not problems:
+        raise MalformedCertificate(malformed[0])
     if paths:
         where = ", ".join(paths[:5]) + (", ..." if len(paths) > 5 else "")
         problems.append(f"re-serialization differs from the input document at {where}")
     return problems
 
 
-def _rederive(order, assignment, gluing, boundary):
-    """The problems found in re-deriving a certificate from its stage data,
-    broken invariants last, and the re-assembled certificate, which is None
-    when the cycles name elements outside the core order."""
-    problems = []
+def _connectivity_problems(order: FiniteOrder) -> list[str]:
     report = check_connectivity(order)
-    if not report.passed:
-        problems.append(f"order fails connectivity at {report.failures()}")
+    return [] if report.passed else [f"order fails connectivity at {report.failures()}"]
 
-    domains, repairs = {}, {}
-    for saddle in sorted(boundary):
-        try:
-            domains[saddle], repairs[saddle] = _domain(boundary[saddle])
-        except ValueError as exc:  # no valid length profile
-            problems.append(f"boundary cycles of {saddle} give no domain: {exc}")
 
+def _rederive(order, assignment, gluing):
+    """The problems found in re-deriving a certificate from its order, cycle
+    assignment and gluing, broken invariants included, and the re-assembled
+    certificate.  The certificate is None when the cycles name elements
+    outside the core order or the gluing fails the matching check or its
+    walk, as it then has no boundary.  Connectivity is the caller's."""
     # the invariants look up every owner in the core order and the assembly
     # every element a transition names; an owner in the core that is not
-    # extremal is reported by the invariants, an extremal one without a
-    # cycle here
+    # extremal is reported by the cycle conditions, an extremal one without
+    # a cycle here
     core = _core(order)
     owners, elements = set(assignment.owners()), set(core.elements)
+    problems = []
     missing = sorted(set(core.maximal_elements + core.minimal_elements) - owners)
     if missing:
         problems.append(f"extremal elements {', '.join(missing)} have no cycle")
@@ -210,8 +216,19 @@ def _rederive(order, assignment, gluing, boundary):
             f"cycle transitions name {', '.join(strays)}, which are not elements"
             " of the core order"
         ], None
+
+    problems += assignment_problems(assignment, core)
+    walk_problems, boundary = verify_boundary_cycles(gluing, assignment, core)
+    if boundary is None:
+        return problems + walk_problems, None
+    domains, repairs = {}, {}
+    for saddle in sorted(boundary):
+        try:
+            domains[saddle], repairs[saddle] = _domain(boundary[saddle])
+        except ValueError as exc:  # no boundary cycle: no valid length profile
+            problems.append(f"boundary cycles of {saddle} give no domain: {exc}")
     rebuilt = assemble(order, assignment, gluing, boundary, domains, repairs)
-    return problems + _invariant_problems(rebuilt, core), rebuilt
+    return problems + _invariant_problems(rebuilt), rebuilt
 
 
 _KIND_NAMES = {
@@ -221,30 +238,33 @@ _KIND_NAMES = {
 _NESTED = {dict, list}
 
 
-def _compare(derived, stored, where: str, paths: list | None) -> None:
+def _compare(derived, stored, where: str, paths: list | None, malformed: list) -> None:
     """Walk the stored document along the derived one and append each path
-    where they differ (a key only the stored object has, an array of another
-    length, another scalar) to ``paths``, unless it is None.  A value of
-    another JSON type, or a key the stored object lacks once its other keys
-    are walked, raises ``MalformedCertificate``."""
+    where they differ to ``paths``, unless it is None: a key only one of
+    them has, an array of another length, another scalar or a value of
+    another JSON type.  A value of another JSON type, and a key the stored
+    object lacks once its other keys are walked, is also named in
+    ``malformed`` (``chi: expected an integer``, ``roles.A: missing``)."""
     if derived is stored:
         return
     kind = derived.__class__
     if stored.__class__ is not kind:  # True is no integer, 1.0 none either
-        raise MalformedCertificate(f"{where}: expected {_KIND_NAMES[kind]}")
+        malformed.append(f"{where}: expected {_KIND_NAMES[kind]}")
+        if paths is not None:
+            paths.append(where)
+        return
     if kind is dict:
-        missing = None
+        missing = []
         for key in sorted(derived.keys() | stored.keys()):
             at = f"{where}.{key}" if where else key
             if key not in stored:
-                missing = missing or at
-            elif key not in derived:
+                missing.append(f"{at}: missing")
+            if key not in stored or key not in derived:
                 if paths is not None:
                     paths.append(at)
             else:
-                _compare(derived[key], stored[key], at, paths)
-        if missing:
-            raise MalformedCertificate(f"{missing}: missing")
+                _compare(derived[key], stored[key], at, paths, malformed)
+        malformed += missing
     elif kind is list:
         kinds = list(map(type, derived))
         if derived == stored and kinds == list(map(type, stored)) and not _NESTED & set(kinds):
@@ -254,7 +274,7 @@ def _compare(derived, stored, where: str, paths: list | None) -> None:
                 paths.append(where)
             paths = None  # the common items are only type-checked
         for i, (d, s) in enumerate(zip(derived, stored)):
-            _compare(d, s, f"{where}[{i}]", paths)
+            _compare(d, s, f"{where}[{i}]", paths, malformed)
     elif derived != stored and paths is not None:
         paths.append(where)
 
@@ -272,15 +292,6 @@ def _of_kind(value, kind: type | None, where: str):
     if kind is not None and type(value) is not kind:  # True is no integer here
         raise MalformedCertificate(f"{where}: expected {_KIND_NAMES[kind]}")
     return value
-
-
-def _arrays(doc: dict, key: str, path: str = "") -> list:
-    """The array doc[key], every item of which must be an array."""
-    items = _field(doc, key, list, path)
-    for i, item in enumerate(items):
-        if type(item) is not list:
-            _of_kind(item, list, f"{path}.{key}[{i}]" if path else f"{key}[{i}]")
-    return items
 
 
 def _read(read, value, where: str):
@@ -302,9 +313,9 @@ def _band_keys(seq: list, where: str) -> tuple:
 
 
 def _stage_data(data) -> tuple:
-    """The order, cycle assignment, gluing and boundary cycles a serialized
-    certificate stores, the inputs every other field is derived from.  A key
-    that is missing or holds a value of the wrong JSON type raises
+    """The order, cycle assignment and gluing a serialized certificate
+    stores, the inputs every other field is derived from.  A key that is
+    missing or holds a value of the wrong JSON type raises
     ``MalformedCertificate`` (or, inside ``order`` and ``cycles``,
     ``MalformedOrder`` and ``MalformedCycles``) naming the JSON path."""
     _of_kind(data, dict, "top level")
@@ -313,16 +324,9 @@ def _stage_data(data) -> tuple:
     order = _read(load_order, spec, "order")
     assignment = _read(CycleAssignment.from_dict, _field(data, "cycles", dict), "cycles")
     pairs = []
-    for i, pair in enumerate(_arrays(data, "gluing")):
-        if len(pair) != 2:
-            raise MalformedCertificate(f"gluing[{i}]: expected a pair of band keys")
-        pairs.append(_band_keys(pair, f"gluing[{i}]"))
-    boundary_docs = _field(data, "boundary_cycles", dict)
-    boundary = {
-        s: tuple(
-            _band_keys(seq, f"boundary_cycles.{s}[{i}]")
-            for i, seq in enumerate(_arrays(boundary_docs, s, "boundary_cycles"))
-        )
-        for s in boundary_docs
-    }
-    return order, assignment, tuple(sorted(pairs)), boundary
+    for i, pair in enumerate(_field(data, "gluing", list)):
+        where = f"gluing[{i}]"
+        if len(_of_kind(pair, list, where)) != 2:
+            raise MalformedCertificate(f"{where}: expected a pair of band keys")
+        pairs.append(_band_keys(pair, where))
+    return order, assignment, tuple(sorted(pairs))

@@ -6,6 +6,7 @@ from smale_orders.bands import (
     glue_bands,
     verify_boundary_cycles,
 )
+from smale_orders.census import iter_orders
 from smale_orders.corpus import diamond_order, example1_cycles, example_cycles
 from smale_orders.cycles import (
     CycleAssignment,
@@ -14,8 +15,8 @@ from smale_orders.cycles import (
     build_initial_cycles,
 )
 from smale_orders.errors import PreconditionViolated, StarViolated
-from smale_orders.order import classify
-from smale_orders.order import load_order
+from smale_orders.order import check_connectivity, classify, load_order
+from smale_orders.pipeline import _core, realize, verify_document
 
 from helpers import (
     enumerate_type_matchings,
@@ -32,17 +33,19 @@ T = Transition
 
 def test_example1_boundary_cycles_have_length_two():
     order = diamond_order()
-    gluing, cycles = glue_bands(example1_cycles(), order)
+    gluing = glue_bands(example1_cycles(), order)
     assert len(gluing) == 2
+    problems, cycles = verify_boundary_cycles(gluing, example1_cycles(), order)
+    assert problems == []
     for s in ("s1", "s2"):
         assert boundary_profile(cycles[s]) == (2,)
-    assert verify_boundary_cycles(gluing, cycles, example1_cycles(), order) == []
 
 
 def test_example_boundary_cycle_matches_displayed_walk():
     order = diamond_order()
     assignment = example_cycles()
-    gluing, cycles = glue_bands(assignment, order)
+    problems, cycles = verify_boundary_cycles(glue_bands(assignment, order), assignment, order)
+    assert problems == []
     for s in ("s1", "s2"):
         assert boundary_profile(cycles[s]) == (4,)
         assert len(cycles[s]) == 1
@@ -59,12 +62,12 @@ def test_example_boundary_cycle_matches_displayed_walk():
         ("A", ("s2", "w", "s1")),
         ("w", ("s2", "A", "s1")),
     ]
-    assert verify_boundary_cycles(gluing, cycles, assignment, order) == []
 
 
 def test_three_chain_doubled_partitions_four_bands():
     built = build_initial_cycles(CHAIN3)
-    gluing, cycles = glue_bands(built, CHAIN3)
+    problems, cycles = verify_boundary_cycles(glue_bands(built, CHAIN3), built, CHAIN3)
+    assert problems == []
     assert boundary_profile(cycles["s"]) == (2, 2)
     # every self band appears exactly twice across the saddle's cycles
     appearances = {}
@@ -72,16 +75,15 @@ def test_three_chain_doubled_partitions_four_bands():
         for key in cyc[:-1]:
             appearances[key] = appearances.get(key, 0) + 1
     assert set(appearances.values()) == {2}
-    assert verify_boundary_cycles(gluing, cycles, built, CHAIN3) == []
 
 
 def test_three_chain_minimal_cycle_single_component():
     minimal = CycleAssignment(
         cycles={"w": (T("s", "A", "s"),), "A": (T("s", "w", "s"),)}
     )
-    gluing, cycles = glue_bands(minimal, CHAIN3)
+    problems, cycles = verify_boundary_cycles(glue_bands(minimal, CHAIN3), minimal, CHAIN3)
+    assert problems == []
     assert boundary_profile(cycles["s"]) == (2,)
-    assert verify_boundary_cycles(gluing, cycles, minimal, CHAIN3) == []
 
 
 def _spliced_built_diamond():
@@ -153,35 +155,24 @@ def test_glue_on_arbitrary_words_returns_or_refuses(case):
 def test_glue_bands_deterministic():
     order = diamond_order()
     built = build_initial_cycles(order)
-    g1, c1 = glue_bands(built, order)
-    g2, c2 = glue_bands(built, order)
-    assert g1 == g2
-    assert {s: list(cs) for s, cs in c1.items()} == {s: list(cs) for s, cs in c2.items()}
+    assert glue_bands(built, order) == glue_bands(built, order)
 
 
 def test_verify_rejects_plus_two_advance_jump():
-    order = diamond_order()
-    assignment = example_cycles()
-    gluing, cycles = glue_bands(assignment, order)
-    seq = list(cycles["s2"][0])
-    owner, idx = seq[2]  # an advance target
-    seq[2] = (owner, (idx + 1) % len(assignment.cycle(owner)))
-    broken = dict(cycles)
-    broken["s2"] = (tuple(seq),)
-    assert verify_boundary_cycles(gluing, broken, assignment, order) == [
-        "s2: boundary cycle 0 step 2 is ('A', 0), the re-traced walk gives ('A', 3)"
+    doc = realize(diamond_order(), example_cycles()).to_dict()
+    key = doc["boundary_cycles"]["s2"][0][2]  # an advance target
+    key[1] = (key[1] + 1) % len(doc["cycles"][key[0]])
+    assert verify_document(doc) == [
+        "re-serialization differs from the input document at boundary_cycles.s2[0][2][1]"
     ]
 
 
 def test_verify_names_an_odd_band_count_in_a_cycle_body():
-    order = diamond_order()
-    assignment = example1_cycles()
-    gluing, cycles = glue_bands(assignment, order)
-    seq = cycles["s2"][0]
-    broken = dict(cycles)
-    broken["s2"] = (seq[:3] + seq[:1],)
-    assert verify_boundary_cycles(gluing, broken, assignment, order) == [
-        "s2: boundary cycle 0 step 3 is ('w', 0), the re-traced walk gives ('w', 1)"
+    doc = realize(diamond_order(), example1_cycles()).to_dict()
+    seq = doc["boundary_cycles"]["s2"][0]
+    doc["boundary_cycles"]["s2"] = [seq[:3] + seq[:1]]
+    assert verify_document(doc) == [
+        "re-serialization differs from the input document at boundary_cycles.s2[0]"
     ]
 
 
@@ -190,8 +181,8 @@ def test_verify_rejects_reversed_type_matching():
     assignment = example1_cycles()
     # pair (s1 -> s2 at w) with (s2 -> s1 at A): reversed direction
     bad = ((("w", 0), ("A", 1)), (("w", 1), ("A", 0)))
-    _, cycles = glue_bands(assignment, order)
-    problems = verify_boundary_cycles(bad, cycles, assignment, order)
+    problems, cycles = verify_boundary_cycles(bad, assignment, order)
+    assert cycles is None
     assert any("incompatible types" in p for p in problems)
 
 
@@ -222,29 +213,44 @@ def test_small_instance_set_is_nonempty():
 
 def test_glue_output_among_exhaustive_matchings():
     """Oracle equivalence: the lazy matching is one of the type-compatible
-    perfect matchings, its walk agrees with an independent re-walk, and
-    verification accepts every such matching with its re-walk."""
+    perfect matchings, and verification accepts every such matching and
+    re-traces the cycles of an independent re-walk, which keep the
+    appearance counts and the total-length identity."""
     for order, assignment in small_instances():
-        gluing, cycles = glue_bands(assignment, order)
         got_matching = {}
-        for a, b in gluing:
+        for a, b in glue_bands(assignment, order):
             got_matching[a] = b
             got_matching[b] = a
         matchings = list(enumerate_type_matchings(assignment, order))
         assert got_matching in matchings
-        # every type-compatible matching closes into valid boundary cycles,
-        # which verification re-traces from that matching's gluing
-        valid = 0
         for m in matchings:
-            walked = walk_boundaries(assignment, order, m)
-            assert oracle_axiom_counts(assignment, order, walked)
             m_gluing = tuple(sorted((a, b) for a, b in m.items() if not order.down_set(a[0])))
-            assert verify_boundary_cycles(m_gluing, walked, assignment, order) == []
-            valid += 1
-            if m == got_matching:
-                got_cycles = {s: list(cs) for s, cs in cycles.items()}
-                assert {s: list(map(tuple, w)) for s, w in walked.items()} == got_cycles
-        assert valid == len(matchings)
+            _assert_traced_as_the_oracle(m_gluing, assignment, order, m)
+
+
+def _assert_traced_as_the_oracle(gluing, assignment, order, matching):
+    problems, traced = verify_boundary_cycles(gluing, assignment, order)
+    assert problems == []
+    walked = walk_boundaries(assignment, order, matching)
+    assert oracle_axiom_counts(assignment, order, walked)
+    assert traced == {s: tuple(map(tuple, w)) for s, w in walked.items()}
+
+
+def test_census_boundaries_pass_the_appearance_oracle():
+    """Every realized census order with at most six elements: its gluing is
+    re-traced into the cycles of the independent re-walk, which keep the
+    appearance counts and the total-length identity."""
+    certificates = [
+        realize(order)
+        for n in range(1, 7)
+        for order in iter_orders(n)
+        if check_connectivity(order).passed
+    ]
+    assert len(certificates) == 512
+    for cert in certificates:
+        matching = {k: v for pair in cert.gluing for k, v in (pair, pair[::-1])}
+        core = _core(cert.order)
+        _assert_traced_as_the_oracle(cert.gluing, cert.assignment, core, matching)
 
 
 def test_partition_property_on_random_balanced_assignments():
@@ -252,14 +258,12 @@ def test_partition_property_on_random_balanced_assignments():
         built = build_initial_cycles(order)
         if built.total_bands() > 24:
             continue
-        gluing, cycles = glue_bands(built, order)
-        assert verify_boundary_cycles(gluing, cycles, built, order) == []
+        assert verify_boundary_cycles(glue_bands(built, order), built, order)[0] == []
 
 
 def test_pair_count_is_half_the_band_count():
     for order, assignment in small_instances():
-        gluing, _ = glue_bands(assignment, order)
-        assert 2 * len(gluing) == assignment.total_bands()
+        assert 2 * len(glue_bands(assignment, order)) == assignment.total_bands()
 
 
 def test_boundary_profile_trivia():

@@ -201,6 +201,10 @@ def _add_seven_keys(doc):
     doc.update({f"extra{i}": i for i in range(7)})
 
 
+def _add_boundary_saddle(doc):
+    doc["boundary_cycles"]["x"] = doc["boundary_cycles"]["s1"]
+
+
 @pytest.mark.parametrize(
     "edit, where",
     [
@@ -208,8 +212,9 @@ def _add_seven_keys(doc):
         (_set_tool_version, "tool_version"),
         (_drop_cover, "order.covers"),
         (_add_seven_keys, "extra0, extra1, extra2, extra3, extra4, ..."),
+        (_add_boundary_saddle, "boundary_cycles.x"),
     ],
-    ids=["schema-version", "tool-version", "cover", "seven-keys"],
+    ids=["schema-version", "tool-version", "cover", "seven-keys", "boundary-saddle"],
 )
 def test_verify_cert_names_where_reserialization_differs(corpus_dir, tmp_path, edit, where):
     cert_path = tmp_path / "cert.json"
@@ -233,10 +238,9 @@ def test_verify_cert_empty_boundary_cycle_is_a_refusal(corpus_dir, tmp_path):
     proc = run_module("verify-cert", str(cert_path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    problems = json.loads(proc.stdout)["problems"]
-    assert "boundary cycles of s1 give no domain: boundary lengths must be even" \
-        " and >= 2, got -1" in problems
-    assert "s1: boundary cycle 0 has 0 band keys, the re-traced walk gives 5" in problems
+    assert json.loads(proc.stdout)["problems"] == [
+        "re-serialization differs from the input document at boundary_cycles.s1"
+    ]
 
 
 def _rotate_s1_cycle_by_a_block(doc):
@@ -250,6 +254,11 @@ def _swap_first_two_s1_cycles(doc):
     cycles[0], cycles[1] = cycles[1], cycles[0]
 
 
+_FIRST_S1_CYCLE_DIFFERS = "re-serialization differs from the input document at " + ", ".join(
+    f"boundary_cycles.s1[0][{i}][1]" for i in range(5)
+) + ", ..."
+
+
 @pytest.mark.parametrize(
     "order, cycles, edit, problem",
     [
@@ -257,13 +266,13 @@ def _swap_first_two_s1_cycles(doc):
             "example.json",
             "example.cycles.json",
             _rotate_s1_cycle_by_a_block,
-            "s1: boundary cycle 0 step 0 is ('w', 3), the re-traced walk gives ('w', 1)",
+            _FIRST_S1_CYCLE_DIFFERS,
         ),
         (
             "example1.json",
             None,
             _swap_first_two_s1_cycles,
-            "s1: boundary cycle 0 step 0 is ('w', 1), the re-traced walk gives ('w', 0)",
+            _FIRST_S1_CYCLE_DIFFERS,
         ),
     ],
     ids=["torus-rotated-cycle", "default-swapped-cycles"],
@@ -447,6 +456,30 @@ def _set(*path_and_value):
 
 
 @pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_set("cycles", {}), "extremal elements A, w have no cycle"),
+        (_set("cycles", "A", []), "A: empty cycle"),
+        (_set("cycles", "w", []), "w: empty cycle"),
+        (lambda cert: {**cert, "cycles": {"w": cert["cycles"]["w"]}},
+         "extremal elements A have no cycle"),
+        (lambda cert: {**cert, "cycles": {"A": cert["cycles"]["A"]}},
+         "extremal elements w have no cycle"),
+    ],
+    ids=["no-cycles", "A-emptied", "w-emptied", "A-deleted", "w-deleted"],
+)
+def test_verify_cert_names_emptied_cycles(tmp_path, capsys, edit, problem):
+    """A cycle edit that leaves bands of the gluing unknown is refused with
+    the re-derivation's problems, not as an unreadable derived field."""
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(edit(realize(diamond_order()).to_dict())))
+    assert run_cli("verify-cert", str(cert_path)) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert problem in json.loads(out.out)["problems"]
+
+
+@pytest.mark.parametrize(
     "edit, path",
     [
         (lambda cert: [], "top level"),
@@ -456,6 +489,10 @@ def _set(*path_and_value):
         (lambda cert: {**cert, "gluing": [[5, ["A", 0]]]}, "gluing[0][0]"),
         (lambda cert: {**cert, "gluing": [[["A", "x"], ["A", 0]]]}, "gluing[0][0][1]"),
         (lambda cert: {**cert, "boundary_cycles": {"s1": [["x"]]}}, "boundary_cycles.s1[0][0]"),
+        (
+            lambda cert: {**cert, "boundary_cycles": {"s2": cert["boundary_cycles"]["s2"]}},
+            "boundary_cycles.s1",
+        ),
         (lambda cert: {**cert, "generations": {"s1": []}}, "generations.s1"),
         (lambda cert: _with_s1_profile(cert, ["x"]), "domains.s1.profile[0]"),
         (lambda cert: _with_s1_profile(cert, [4, [4]]), "domains.s1.profile[1]"),
@@ -470,7 +507,7 @@ def _set(*path_and_value):
         (_set("order", "elements", "ab"), "order.elements"),
     ],
     ids=["array", "order-5", "empty", "roles-5", "band-key-5", "band-index-x",
-         "boundary-key-x", "generation-array", "profile-x", "profile-array",
+         "boundary-key-x", "boundary-saddle-missing", "generation-array", "profile-x", "profile-array",
          "connected-1", "chi-float", "genus-false", "handle-count-false", "schema-true",
          "cycles-item-5", "order-elements-string"],
 )
@@ -740,7 +777,7 @@ def test_broken_invariant_is_a_structured_internal_error(
 ):
     import smale_orders.pipeline as pipeline
 
-    monkeypatch.setattr(pipeline, "_invariant_problems", lambda cert, core: ["forced"])
+    monkeypatch.setattr(pipeline, "_invariant_problems", lambda cert: ["forced"])
     code = run_cli(command, str(corpus_dir / "example1.json"), "-o", str(tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 1

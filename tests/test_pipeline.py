@@ -22,7 +22,7 @@ def test_round_trip_serialization_is_bit_exact():
     for order in usable_orders(4):
         cert = realize(order)
         doc = json.loads(json.dumps(cert.to_dict()))
-        assert _stage_data(doc) == (cert.order, cert.assignment, cert.gluing, cert.boundary)
+        assert _stage_data(doc) == (cert.order, cert.assignment, cert.gluing)
         assert verify_document(doc) == []
         assert verify_certificate(cert) == []
 
@@ -123,13 +123,23 @@ def test_verify_certificate_reports_saddle_owned_cycle():
 
 def test_verify_cert_names_extremal_elements_without_cycles(tmp_path):
     """The diamond's certificate with its cycles, gluing and boundary cycles
-    emptied and every summary field re-derived."""
+    emptied and every summary field re-derived.  The re-traced boundary has
+    no cycle for either saddle, so the stored ``{}`` lacks two derived keys,
+    which are listed as differences once the re-derivation found problems."""
     empty = CycleAssignment(cycles={})
     emptied = assemble(diamond_order(), empty, (), {}, {}, {})
     cert_path, out = tmp_path / "cert.json", tmp_path / "verify.json"
     cert_path.write_text(json.dumps(emptied.to_dict()))
     assert main(["verify-cert", str(cert_path), "-o", str(out)]) == 2
-    assert "extremal elements A, w have no cycle" in json.loads(out.read_text())["problems"]
+    assert json.loads(out.read_text())["problems"] == [
+        "extremal elements A, w have no cycle",
+        "boundary cycles of s1 give no domain: a profile needs at least one boundary circle",
+        "boundary cycles of s2 give no domain: a profile needs at least one boundary circle",
+        "component ('A',) has odd chi",
+        "component ('w',) has odd chi",
+        "re-serialization differs from the input document at boundary_cycles.s1,"
+        " boundary_cycles.s2",
+    ]
 
 
 def test_certificates_carry_attribution_fields():
@@ -140,21 +150,20 @@ def test_certificates_carry_attribution_fields():
 
 
 def test_realize_rejects_broken_boundary(monkeypatch):
-    """A boundary walk with one advance step shifted fails the invariant pass."""
+    """A gluing with the repeller ends of two pairs of different types
+    swapped fails the invariant pass."""
 
-    def shifted_glue(assignment, order):
-        gluing, cycles = glue_bands(assignment, order)
-        seq = list(cycles["s2"][0])
-        owner, idx = seq[2]  # an advance target
-        seq[2] = (owner, (idx + 1) % len(assignment.cycle(owner)))
-        return gluing, {**cycles, "s2": (tuple(seq),)}
+    def swapped_glue(assignment, order):
+        (a, b), (c, d), *rest = glue_bands(assignment, order)
+        return tuple(sorted([(a, d), (c, b), *rest]))
 
-    monkeypatch.setattr(pipeline, "glue_bands", shifted_glue)
+    monkeypatch.setattr(pipeline, "glue_bands", swapped_glue)
     with pytest.raises(AssertionError) as exc:
         realize(diamond_order(), example_cycles())
     assert str(exc.value) == (
-        "construction invariants broken: s2: boundary cycle 0 step 2 is ('A', 0),"
-        " the re-traced walk gives ('A', 3)"
+        "construction invariants broken: pair ('w', 0)~('A', 1) joins incompatible"
+        " types ('s1', 'A', 's2') / ('s2', 'w', 's1'); pair ('w', 1)~('A', 2) joins"
+        " incompatible types ('s2', 'A', 's1') / ('s1', 'w', 's2')"
     )
 
 
