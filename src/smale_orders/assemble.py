@@ -100,13 +100,11 @@ def _incidence_components(order, assignment, north_south):
     extremal whose cycle mentions it, and a north-south pair ties its two
     points directly.
     """
-    links = [
-        (owner, s)
-        for owner in assignment.owners()
-        for t in assignment.cycle(owner)
-        for s in (t.left, t.right)
-    ]
-    comps = _linked_components(order.elements, links + list(north_south))
+    links = list(north_south)
+    for owner in assignment.owners():
+        word = assignment.cycle(owner)
+        links += [(owner, s) for s in {t.left for t in word} | {t.right for t in word}]
+    comps = _linked_components(order.elements, links)
     return tuple(sorted(tuple(sorted(c)) for c in comps))
 
 

@@ -20,9 +20,11 @@ the end band sits at the beginning band's index plus one, the single
 indexation axiom.  ``glue_bands`` chooses partners lazily during the walk,
 first available in index order, which is what makes the length-4 cycle
 example close into one long boundary component instead of two short ones;
-it returns only the gluing.  ``verify_boundary_cycles`` checks a gluing and
-walks it again, and that re-trace is the boundary every certificate
-stores.  Every walk closes without repeating a band: a band gets its
+it returns the gluing and the cycles that walk traced.
+``verify_boundary_cycles`` checks a gluing and, unless it is handed those
+cycles, walks it again: ``realize`` walks each boundary once, inside
+``glue_bands``, and both verifiers re-walk the stored gluing from scratch.
+Every walk closes without repeating a band: a band gets its
 partner once and advancing is a bijection, so the block map is injective
 and its orbits are disjoint cycles; the sides alternate because a partner
 is always on the other side.  Unchained cycles can only break the
@@ -60,8 +62,10 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder) -> tuple:
 
     A band is matched when ``_walk`` first needs its partner, to the first
     not-yet-matched compatible band in index order.  Returns the complete
-    gluing; raises ``StarViolated`` when some band finds no partner and
-    ``PreconditionViolated`` when a four-step walk drifts off the saddle.
+    gluing and every core saddle's boundary cycles as that walk traced
+    them (see ``_walk``); raises ``StarViolated`` when some band finds no
+    partner and ``PreconditionViolated`` when a four-step walk drifts off
+    the saddle.
     """
     bands = bands_of(assignment)
     is_attractor = {owner: not order.down_set(owner) for owner in assignment.owners()}
@@ -91,13 +95,13 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder) -> tuple:
                 return cand
         raise StarViolated(f"no compatible partner left for band {key} of type {t}")
 
-    _walk(order, bands, is_attractor, cycle_len, partner_of)
+    cycles = _walk(order, bands, is_attractor, cycle_len, partner_of)
 
     unmatched = sorted(k for k in bands if k not in partner)
     if unmatched:
         raise StarViolated(f"bands left unmatched: {unmatched}")
 
-    return tuple(sorted((a, partner[a]) for a in bands if is_attractor[a[0]]))
+    return tuple(sorted((a, partner[a]) for a in bands if is_attractor[a[0]])), cycles
 
 
 def _walk(order: FiniteOrder, bands: dict, is_attractor: dict, cycle_len: dict, partner_of):
@@ -151,7 +155,10 @@ def boundary_profile(cycles) -> tuple[int, ...]:
 
 
 def verify_boundary_cycles(
-    gluing: tuple, assignment: CycleAssignment, order: FiniteOrder
+    gluing: tuple,
+    assignment: CycleAssignment,
+    order: FiniteOrder,
+    walked: dict | None = None,
 ) -> tuple[list[str], dict | None]:
     """Independently re-check the gluing and re-trace the boundary cycles.
 
@@ -162,7 +169,10 @@ def verify_boundary_cycles(
     band is in exactly one pair; if it is not, those problems are returned.
     Otherwise ``_walk`` re-traces every saddle's boundary from the gluing
     (on a perfect matching every walk closes; a walk that drifts off its
-    saddle is the one problem returned).
+    saddle is the one problem returned), unless ``walked`` holds the cycles
+    that ``glue_bands`` traced while choosing this gluing: those are
+    returned as they are (``pipeline._rederive`` says why they are the
+    re-trace).
     """
     problems = []
     bands = bands_of(assignment)
@@ -191,6 +201,8 @@ def verify_boundary_cycles(
             problems.append(f"band {k} is in {seen_in_pairs[k]} pairs, not 1")
     if problems:
         return problems, None
+    if walked is not None:
+        return [], walked
 
     cycle_len = {o: len(assignment.cycle(o)) for o in assignment.owners()}
     try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -343,7 +344,16 @@ def main(argv=None) -> int:
     if not args.command:
         parser.print_usage(sys.stderr)
         return 1
-    return run(args)
+    # a command builds large trees of lists, tuples and dicts but no
+    # reference cycles, so the cyclic collector would only scan them; a
+    # caller's own setting is restored
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return run(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

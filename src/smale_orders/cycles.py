@@ -17,6 +17,7 @@ attractor side as on the repeller side; ``_band_type`` names the type, which
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress
 from typing import NamedTuple
 
@@ -77,12 +78,14 @@ class CycleAssignment(NamedTuple):
                 if not (
                     isinstance(item, (list, tuple))
                     and len(item) == 3
-                    and all(isinstance(x, str) for x in item)
+                    and isinstance(item[0], str)
+                    and isinstance(item[1], str)
+                    and isinstance(item[2], str)
                 ):
                     raise MalformedCycles(
                         f"{owner}[{i}]: expected a [left, mediator, right] triple"
                     )
-            cycles[owner] = tuple(Transition(a, m, b) for a, m, b in word)
+            cycles[owner] = tuple(map(Transition._make, word))
         return CycleAssignment(cycles=cycles)
 
 
@@ -148,18 +151,23 @@ def assignment_problems(assignment: CycleAssignment, order: FiniteOrder) -> list
         except NotExtremal as exc:
             problems.append(str(exc))
             continue
-        for i, t in enumerate(word):
-            if t not in admissible:
-                problems.append(f"{owner}[{i}]: inadmissible transition {t}")
-        n = len(word)
-        for i, t in enumerate(word):
-            nxt = word[(i + 1) % n]
-            if t.right != nxt.left:
-                problems.append(
-                    f"{owner}[{i}]: chain break, right={t.right} next-left={nxt.left}"
-                )
-        seen_saddles = {t.left for t in word} | {t.right for t in word}
-        seen_mediators = {t.mediator for t in word}
+        counts = Counter(word)
+        if not counts.keys() <= admissible:
+            problems += [
+                f"{owner}[{i}]: inadmissible transition {t}"
+                for i, t in enumerate(word)
+                if t not in admissible
+            ]
+        lefts, mediators, rights = zip(*word)
+        next_lefts = lefts[1:] + lefts[:1]
+        if rights != next_lefts:
+            problems += [
+                f"{owner}[{i}]: chain break, right={right} next-left={left}"
+                for i, (right, left) in enumerate(zip(rights, next_lefts))
+                if right != left
+            ]
+        seen_saddles = set(lefts).union(rights)
+        seen_mediators = set(mediators)
         related = order.up_set(owner) or order.down_set(owner)
         for e in sorted(related):
             is_saddle = bool(order.up_set(e)) and bool(order.down_set(e))
@@ -167,11 +175,8 @@ def assignment_problems(assignment: CycleAssignment, order: FiniteOrder) -> list
                 problems.append(f"{owner}: related saddle {e} never appears")
             if not is_saddle and e not in seen_mediators:
                 problems.append(f"{owner}: related extremal {e} never mediates")
-        counts: dict = {}
-        for t in word:
-            counts[t] = counts.get(t, 0) + 1
-        for t in sorted(admissible):
-            if t.left != t.right and t not in counts:
+        for t in sorted(admissible - counts.keys()):
+            if t.left != t.right:
                 problems.append(f"{owner}: admissible type {t} missing (condition 1)")
         for (k, m, l), c in sorted(counts.items()):
             if k < l and c != counts.get((l, m, k), 0):
@@ -278,14 +283,34 @@ def _band_type(owner: str, t: Transition, attractor_side: bool) -> tuple:
 
 
 def _canonical_start(word) -> int:
-    """Index starting the lexicographically least rotation of the cycle."""
+    """Index starting the lexicographically least rotation of the cycle, the
+    smallest one when rotations tie (a periodic word), in linear time.
+
+    Two candidate starts i and j are compared item by item.  At the first
+    difference, after k equal items, the candidate with the larger item
+    and the k starts after it are ruled out: each of those rotations is
+    beaten by the one at the same distance after the other candidate.  A
+    start below both candidates has been ruled out, so when k reaches n the
+    smaller candidate is the answer.
+    """
     n = len(word)
-    best, best_rot = 0, word
-    for i in range(1, n):
-        rot = word[i:] + word[:i]
-        if rot < best_rot:
-            best, best_rot = i, rot
-    return best
+    doubled = word + word
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        if i > j:
+            i, j = j, i
+        k = 0
+    return i
 
 
 def _anchor_position(word, saddle: str) -> int:

@@ -195,10 +195,6 @@ def repair_profile(profile: LengthProfile) -> tuple[LengthProfile, RepairLog]:
     lengths = list(profile.lengths)
     steps = []
 
-    def record(op, before):
-        after = tuple(sorted(lengths, reverse=True))
-        steps.append(RepairStep(op=op, before=before, after=after))
-
     def needs_work() -> bool:
         verdict, _ = check_constructible(LengthProfile(tuple(lengths)))
         return verdict is not Verdict.CONSTRUCTIBLE
@@ -206,11 +202,19 @@ def repair_profile(profile: LengthProfile) -> tuple[LengthProfile, RepairLog]:
     if not needs_work():
         return profile, RepairLog(steps=())
 
-    while 2 in lengths:
-        before = tuple(sorted(lengths, reverse=True))
-        lengths.remove(2)
-        lengths.append(10)
-        record(RepairOp.LENGTHEN_2_TO_10, before)
+    # the twos end the sorted profile; each lengthening turns one of them
+    # into a 10, which sorts among the tens, after the longer circles
+    twos = lengths.count(2)
+    rest = lengths[: len(lengths) - twos]
+    above = tuple(n for n in rest if n > 10)
+    below = tuple(n for n in rest if n < 10)
+    tens = len(rest) - len(above) - len(below)
+    before = profile.lengths
+    for k in range(tens + 1, tens + twos + 1):
+        after = above + (10,) * k + below + (2,) * (tens + twos - k)
+        steps.append(RepairStep(op=RepairOp.LENGTHEN_2_TO_10, before=before, after=after))
+        before = after
+    lengths = list(before)
 
     while needs_work():
         before = tuple(sorted(lengths, reverse=True))
@@ -219,6 +223,7 @@ def repair_profile(profile: LengthProfile) -> tuple[LengthProfile, RepairLog]:
         first = (n - 2, 4)
         split = LengthProfile((*lengths, *first))
         lengths += (n - 4, 6) if split.congruent() and split.is_excluded_family() else first
-        record(RepairOp.SPLIT_CYCLE, before)
+        after = tuple(sorted(lengths, reverse=True))
+        steps.append(RepairStep(op=RepairOp.SPLIT_CYCLE, before=before, after=after))
 
     return LengthProfile(tuple(lengths)), RepairLog(steps=tuple(steps))

@@ -7,11 +7,13 @@ every other field, the boundary cycles included, is derived from them by
 one re-derivation, ``_rederive``: the cycle conditions, the matching check
 and boundary walk of ``verify_boundary_cycles``, ``_domain`` per saddle,
 ``assemble`` and the chi checks.  ``realize`` builds the stage data and
-builds the certificate through ``_rederive``; ``verify_certificate``
-re-derives an in-memory certificate and compares it field by field;
-``verify_document`` reads only the stage data of a serialized one and
-compares the whole document with the re-derived JSON, so only the writers
-(``to_dict``) know the derived fields' format.
+builds the certificate through ``_rederive``, handing it the boundary
+cycles that ``glue_bands`` walked, so it walks each boundary once.
+``verify_certificate`` re-derives an in-memory certificate and compares it
+field by field; ``verify_document`` reads only the stage data of a
+serialized one and compares the whole document with the re-derived JSON,
+so only the writers (``to_dict``) know the derived fields' format.  Both
+re-walk the stored gluing from scratch.
 
 The stages validate their inputs and build; none re-checks its own output.
 The invariants every correct construction satisfies are checked in one
@@ -71,7 +73,8 @@ def realize(
         assignment = _doubled_euler_cycles(core)
     else:
         assignment = balance_cycles(assignment, core)
-    problems, certificate = _rederive(order, assignment, glue_bands(assignment, core))
+    gluing, walked = glue_bands(assignment, core)
+    problems, certificate = _rederive(order, assignment, gluing, walked)
     if problems:
         raise BrokenInvariant(
             "invariants", "construction invariants broken: " + "; ".join(problems)
@@ -188,12 +191,23 @@ def _connectivity_problems(order: FiniteOrder) -> list[str]:
     return [] if report.passed else [f"order fails connectivity at {report.failures()}"]
 
 
-def _rederive(order, assignment, gluing):
+def _rederive(order, assignment, gluing, walked=None):
     """The problems found in re-deriving a certificate from its order, cycle
     assignment and gluing, broken invariants included, and the re-assembled
     certificate.  The certificate is None when the cycles name elements
     outside the core order or the gluing fails the matching check or its
-    walk, as it then has no boundary.  Connectivity is the caller's."""
+    walk, as it then has no boundary.  Connectivity is the caller's.
+
+    The checks: the owner and element guards below, the cycle conditions,
+    the matching check of ``verify_boundary_cycles`` (perfect, type
+    compatible, across sides, crossed mediators) and its walk, the domains
+    and ``_invariant_problems``.  ``walked``, the cycles ``glue_bands``
+    traced while choosing ``gluing``, stands in for the walk alone: the
+    lazy walk asks for each band's partner and gets it once, the first
+    time, and never changes it, so at every step it read the partner the
+    finished gluing records, and a re-trace of that gluing from the same
+    starts in the same order takes the same steps and closes the same
+    cycles."""
     # the invariants look up every owner in the core order and the assembly
     # every element a transition names; an owner in the core that is not
     # extremal is reported by the cycle conditions, an extremal one without
@@ -218,7 +232,7 @@ def _rederive(order, assignment, gluing):
         ], None
 
     problems += assignment_problems(assignment, core)
-    walk_problems, boundary = verify_boundary_cycles(gluing, assignment, core)
+    walk_problems, boundary = verify_boundary_cycles(gluing, assignment, core, walked)
     if boundary is None:
         return problems + walk_problems, None
     domains, repairs = {}, {}

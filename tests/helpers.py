@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from smale_orders.bands import glue_bands
 from smale_orders.census import iter_orders
 from smale_orders.cycles import (
     CycleAssignment,
@@ -301,6 +302,25 @@ def star_ledger(assignment, order) -> StarLedger:
             else:
                 counts[side + (t.left != k)] += 1
     return StarLedger(groups={k: tuple(v) for k, v in groups.items()})
+
+
+def swapped_glue(assignment, order):
+    """``glue_bands`` with the repeller ends of its first two pairs swapped:
+    on the diamond with the example cycles the two pairs have different
+    types, so ``realize`` fails its invariant pass."""
+    ((a, b), (c, d), *rest), walked = glue_bands(assignment, order)
+    return tuple(sorted([(a, d), (c, b), *rest])), walked
+
+
+def least_rotation_start(word) -> int:
+    """The first index starting the lexicographically least rotation, by
+    comparing every rotation: the reference for ``cycles._canonical_start``."""
+    best, best_rot = 0, word
+    for i in range(1, len(word)):
+        rot = word[i:] + word[:i]
+        if rot < best_rot:
+            best, best_rot = i, rot
+    return best
 
 
 def injected_assignment(order, rng: random.Random):

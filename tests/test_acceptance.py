@@ -225,7 +225,7 @@ def test_criterion_7_band_oracle():
     )
     assert len(instances) >= 5
     for order, assignment in instances:
-        gluing = glue_bands(assignment, order)
+        gluing, _ = glue_bands(assignment, order)
         ours = {}
         for a, b in gluing:
             ours[a] = b

@@ -20,6 +20,7 @@ from smale_orders.pipeline import _core, realize, verify_document
 
 from helpers import (
     enumerate_type_matchings,
+    layered_order,
     oracle_axiom_counts,
     usable_orders,
     walk_boundaries,
@@ -33,7 +34,7 @@ T = Transition
 
 def test_example1_boundary_cycles_have_length_two():
     order = diamond_order()
-    gluing = glue_bands(example1_cycles(), order)
+    gluing, _ = glue_bands(example1_cycles(), order)
     assert len(gluing) == 2
     problems, cycles = verify_boundary_cycles(gluing, example1_cycles(), order)
     assert problems == []
@@ -44,7 +45,8 @@ def test_example1_boundary_cycles_have_length_two():
 def test_example_boundary_cycle_matches_displayed_walk():
     order = diamond_order()
     assignment = example_cycles()
-    problems, cycles = verify_boundary_cycles(glue_bands(assignment, order), assignment, order)
+    gluing, _ = glue_bands(assignment, order)
+    problems, cycles = verify_boundary_cycles(gluing, assignment, order)
     assert problems == []
     for s in ("s1", "s2"):
         assert boundary_profile(cycles[s]) == (4,)
@@ -66,7 +68,8 @@ def test_example_boundary_cycle_matches_displayed_walk():
 
 def test_three_chain_doubled_partitions_four_bands():
     built = build_initial_cycles(CHAIN3)
-    problems, cycles = verify_boundary_cycles(glue_bands(built, CHAIN3), built, CHAIN3)
+    gluing, _ = glue_bands(built, CHAIN3)
+    problems, cycles = verify_boundary_cycles(gluing, built, CHAIN3)
     assert problems == []
     assert boundary_profile(cycles["s"]) == (2, 2)
     # every self band appears exactly twice across the saddle's cycles
@@ -81,7 +84,8 @@ def test_three_chain_minimal_cycle_single_component():
     minimal = CycleAssignment(
         cycles={"w": (T("s", "A", "s"),), "A": (T("s", "w", "s"),)}
     )
-    problems, cycles = verify_boundary_cycles(glue_bands(minimal, CHAIN3), minimal, CHAIN3)
+    gluing, _ = glue_bands(minimal, CHAIN3)
+    problems, cycles = verify_boundary_cycles(gluing, minimal, CHAIN3)
     assert problems == []
     assert boundary_profile(cycles["s"]) == (2,)
 
@@ -218,7 +222,7 @@ def test_glue_output_among_exhaustive_matchings():
     appearance counts and the total-length identity."""
     for order, assignment in small_instances():
         got_matching = {}
-        for a, b in glue_bands(assignment, order):
+        for a, b in glue_bands(assignment, order)[0]:
             got_matching[a] = b
             got_matching[b] = a
         matchings = list(enumerate_type_matchings(assignment, order))
@@ -253,17 +257,31 @@ def test_census_boundaries_pass_the_appearance_oracle():
         _assert_traced_as_the_oracle(cert.gluing, cert.assignment, core, matching)
 
 
+def test_glue_bands_walks_the_retrace_of_its_gluing():
+    """``realize`` uses the cycles ``glue_bands`` walked in place of a
+    re-trace: on every realized census order with at most six elements and
+    on three layered orders they are the re-trace of the gluing returned."""
+    orders = [o for n in range(1, 7) for o in iter_orders(n) if check_connectivity(o).passed]
+    assert len(orders) == 512
+    for order in orders + [load_order(layered_order(seed)) for seed in (1, 2, 3)]:
+        cert = realize(order)
+        core = _core(order)
+        gluing, walked = glue_bands(cert.assignment, core)
+        assert gluing == cert.gluing
+        assert verify_boundary_cycles(gluing, cert.assignment, core) == ([], walked)
+
+
 def test_partition_property_on_random_balanced_assignments():
     for order in usable_orders(6):
         built = build_initial_cycles(order)
         if built.total_bands() > 24:
             continue
-        assert verify_boundary_cycles(glue_bands(built, order), built, order)[0] == []
+        assert verify_boundary_cycles(glue_bands(built, order)[0], built, order)[0] == []
 
 
 def test_pair_count_is_half_the_band_count():
     for order, assignment in small_instances():
-        assert 2 * len(glue_bands(assignment, order)) == assignment.total_bands()
+        assert 2 * len(glue_bands(assignment, order)[0]) == assignment.total_bands()
 
 
 def test_boundary_profile_trivia():

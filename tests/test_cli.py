@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from smale_orders.corpus import diamond_order
 from smale_orders.order import load_order
 from smale_orders.pipeline import realize
 
-from helpers import layered_order
+from helpers import layered_order, swapped_glue
 
 
 def run_cli(*argv):
@@ -786,3 +787,80 @@ def test_broken_invariant_is_a_structured_internal_error(
         "internal_error": "invariants",
         "detail": "construction invariants broken: forced",
     }
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(
+    corpus_dir, tmp_path, monkeypatch, capsys, enabled
+):
+    """A command runs with the cyclic collector paused; whatever exit it
+    takes, the caller's setting is back afterwards."""
+    import smale_orders.pipeline as pipeline
+
+    example = str(corpus_dir / "example.json")
+    out = str(tmp_path / "out.json")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in [
+            (["validate", example, "-o", out], 0),
+            (["validate", str(tmp_path / "missing.json")], 1),
+            (["realize"], 1),
+            (["check", str(corpus_dir / "impossibleorder.json"), "-o", out], 2),
+        ]:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        monkeypatch.setattr(pipeline, "glue_bands", swapped_glue)
+        cycles = str(corpus_dir / "example.cycles.json")
+        assert main(["realize", example, "--cycles", cycles, "-o", out]) == 1
+        assert '"internal_error": "invariants"' in capsys.readouterr().err
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _cyclic_garbage(argv) -> tuple[int, set]:
+    """Run a command with the collector off: the number of unreachable
+    objects the next collection finds, and the modules of their types."""
+    gc.collect()
+    assert main(argv) == 0
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        found = gc.collect()
+        modules = {type(obj).__module__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.collect()
+    return found, modules
+
+
+def test_commands_make_the_same_cyclic_garbage_for_every_order(corpus_dir, tmp_path):
+    """Pausing the collector frees nothing less: what ``realize`` and
+    ``verify-cert`` leave for it is the same for a four-element order as for
+    a layered 6-12-6 one, and none of it is the program's own."""
+    layered = tmp_path / "layered.json"
+    layered.write_text(json.dumps(layered_order(1)))
+
+    def certify(order, name: str) -> dict:
+        cert = str(tmp_path / f"{name}.cert.json")
+        verdict = str(tmp_path / f"{name}.verdict.json")
+        return {
+            "realize": _cyclic_garbage(["realize", str(order), "-o", cert]),
+            "verify-cert": _cyclic_garbage(["verify-cert", cert, "-o", verdict]),
+        }
+
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        certify(corpus_dir / "example1.json", "warm-up")
+        small = certify(corpus_dir / "example1.json", "small")
+        large = certify(layered, "layered")
+    finally:
+        if was:
+            gc.enable()
+    for command in small:
+        assert small[command][0] == large[command][0]
+        for _, modules in (small[command], large[command]):
+            assert not any(m.startswith("smale_orders") for m in modules)

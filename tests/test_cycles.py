@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from smale_orders.corpus import (
 from smale_orders.cycles import (
     CycleAssignment,
     Transition,
+    _canonical_start,
     admissible_transitions,
     assignment_problems,
     balance_cycles,
@@ -27,6 +30,7 @@ from smale_orders.order import load_order
 
 from helpers import (
     injected_assignment,
+    least_rotation_start,
     oracle_admissible,
     product_admissible,
     star_ledger,
@@ -253,8 +257,6 @@ def test_balance_rejects_condition_violations():
 
 
 def test_splice_count_equals_initial_deficit_with_injections():
-    import random
-
     rng = random.Random(7)
     orders = [o for o in usable_orders(5)]
     for _ in range(60):
@@ -301,3 +303,15 @@ def test_balance_output_equal_up_to_rotation_of_inputs(rot_w, rot_a):
 
     for owner in ("w", "A"):
         assert canonical(out_base.cycle(owner)) == canonical(out_rot.cycle(owner))
+
+
+def test_canonical_start_matches_the_brute_force():
+    """The linear least-rotation search picks the start that comparing every
+    rotation picks, the first one when rotations tie, on random words and on
+    periodic ones."""
+    rng = random.Random(5)
+    letters = [T("s1", m, "s2") for m in ("A", "B", "C")]
+    for _ in range(500):
+        block = rng.choices(letters[: rng.randint(1, 3)], k=rng.randint(0, 9))
+        for word in (block, block * rng.randint(2, 4)):
+            assert _canonical_start(word) == least_rotation_start(word)

@@ -153,6 +153,11 @@ def test_repair_always_reaches_constructible(profile):
     verdict, spec = check_constructible(repaired)
     assert verdict is Verdict.CONSTRUCTIBLE
     assert spec is not None
+    # the log chains sorted profiles from the input to the result
+    chain = [profile.lengths] + [s.after for s in log.steps]
+    assert [s.before for s in log.steps] == chain[:-1]
+    assert chain[-1] == repaired.lengths
+    assert all(p == tuple(sorted(p, reverse=True)) for p in chain)
     # lengthen steps all precede split steps (one lengthening pass)
     ops = [s.op for s in log.steps]
     if RepairOp.SPLIT_CYCLE in ops:

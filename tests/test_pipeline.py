@@ -5,7 +5,6 @@ import pytest
 
 import smale_orders.pipeline as pipeline
 from smale_orders.assemble import assemble
-from smale_orders.bands import glue_bands
 from smale_orders.cli import main
 from smale_orders.corpus import IMPOSSIBLE_ORDER, diamond_order, example1_cycles, example_cycles
 from smale_orders.cycles import CycleAssignment, balance_cycles, build_initial_cycles
@@ -13,7 +12,7 @@ from smale_orders.errors import ConnectivityFailure, PreconditionViolated
 from smale_orders.order import check_connectivity, from_down_sets, load_order
 from smale_orders.pipeline import _stage_data, realize, verify_certificate, verify_document
 
-from helpers import injected_assignment, usable_orders, verify_star
+from helpers import injected_assignment, swapped_glue, usable_orders, verify_star
 
 
 def test_round_trip_serialization_is_bit_exact():
@@ -152,11 +151,6 @@ def test_certificates_carry_attribution_fields():
 def test_realize_rejects_broken_boundary(monkeypatch):
     """A gluing with the repeller ends of two pairs of different types
     swapped fails the invariant pass."""
-
-    def swapped_glue(assignment, order):
-        (a, b), (c, d), *rest = glue_bands(assignment, order)
-        return tuple(sorted([(a, d), (c, b), *rest]))
-
     monkeypatch.setattr(pipeline, "glue_bands", swapped_glue)
     with pytest.raises(AssertionError) as exc:
         realize(diamond_order(), example_cycles())
