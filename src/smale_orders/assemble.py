@@ -247,8 +247,8 @@ def plan_plugs(order: FiniteOrder) -> PlugPlan:
     """
     roles = classify(order)
     plugs = {
-        e: (len(order.cover_parents(e)), len(order.cover_children(e)))
-        for e in order.elements
+        e: (parents.bit_count(), children.bit_count())
+        for e, children, parents in zip(order.elements, order.cover_down, order.cover_up)
     }
     next_exit = {e: 0 for e in order.elements}
     next_entry = {e: 0 for e in order.elements}

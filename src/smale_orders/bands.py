@@ -68,7 +68,8 @@ def glue_bands(assignment: CycleAssignment, order: FiniteOrder) -> tuple:
     the saddle.
     """
     bands = bands_of(assignment)
-    is_attractor = {owner: not order.down_set(owner) for owner in assignment.owners()}
+    attractors = set(order.minimal_elements)
+    is_attractor = {owner: owner in attractors for owner in assignment.owners()}
     cycle_len = {owner: len(assignment.cycle(owner)) for owner in assignment.owners()}
 
     # the bands of each type and side waiting for a partner, in key order;
@@ -176,7 +177,8 @@ def verify_boundary_cycles(
     """
     problems = []
     bands = bands_of(assignment)
-    is_attractor = {o: not order.down_set(o) for o in assignment.owners()}
+    attractors = set(order.minimal_elements)
+    is_attractor = {o: o in attractors for o in assignment.owners()}
 
     partner: dict = {}  # a key in several pairs: the last pair wins
     paired = []  # the keys of the pairs of two known bands

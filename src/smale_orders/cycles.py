@@ -105,14 +105,14 @@ def admissible_transitions(order: FiniteOrder, owner: str) -> frozenset[Transiti
     always admissible because every related saddle shares some opposite
     extremal with itself.
     """
-    i = order._index[owner]
-    up, down = order._up[i], order._down[i]
+    i = order.elements.index(owner)
+    up, down = order.up[i], order.down[i]
     if up and down:
         raise NotExtremal(f"{owner!r} is a saddle, not an extremal element")
     if not up and not down:
         raise NotExtremal(f"{owner!r} is isolated")
     # attractor: saddles above, repellers mediate; repeller: the mirror image
-    far = order._up if not down else order._down
+    far = order.up if not down else order.down
     maxes, saddle_mask, mins = order._role_masks()
     ends = maxes if not down else mins
     names, related = order.elements, _flags(far[i] & saddle_mask)
@@ -141,6 +141,7 @@ def assignment_problems(assignment: CycleAssignment, order: FiniteOrder) -> list
     opposite extremal to show up at least once.
     """
     problems = []
+    extremals = set(order.maximal_elements + order.minimal_elements)
     for owner in assignment.owners():
         word = assignment.cycle(owner)
         if not word:
@@ -170,7 +171,7 @@ def assignment_problems(assignment: CycleAssignment, order: FiniteOrder) -> list
         seen_mediators = set(mediators)
         related = order.up_set(owner) or order.down_set(owner)
         for e in sorted(related):
-            is_saddle = bool(order.up_set(e)) and bool(order.down_set(e))
+            is_saddle = e not in extremals
             if is_saddle and e not in seen_saddles:
                 problems.append(f"{owner}: related saddle {e} never appears")
             if not is_saddle and e not in seen_mediators:
@@ -185,12 +186,6 @@ def assignment_problems(assignment: CycleAssignment, order: FiniteOrder) -> list
                     f" reverse appears {counts.get((l, m, k), 0)} (condition 2)"
                 )
     return problems
-
-
-def validate_assignment(assignment: CycleAssignment, order: FiniteOrder) -> None:
-    problems = assignment_problems(assignment, order)
-    if problems:
-        raise PreconditionViolated("; ".join(problems))
 
 
 # --------------------------------------------------------------------------
@@ -249,14 +244,14 @@ def _doubled_euler_cycles(order: FiniteOrder) -> CycleAssignment:
     a repeller (over an attractor) m, so s -m-> s is admissible; an owner
     without one has a related extremal that mediates nothing, and raises.
     """
+    extremals = set(order.maximal_elements + order.minimal_elements)
     cycles = {}
-    for owner in sorted(order.maximal_elements + order.minimal_elements):
+    for owner in sorted(extremals):
         related = order.up_set(owner) or order.down_set(owner)
         types = sorted(admissible_transitions(order, owner))
         mediated = {t.mediator for t in types}
         for e in sorted(related):
-            extremal = not (order.up_set(e) and order.down_set(e))
-            if extremal and e not in mediated:
+            if e in extremals and e not in mediated:
                 raise NoMediator(
                     f"extremal {e} related to {owner} mediates no transition"
                 )
@@ -349,11 +344,14 @@ def balance_cycles(assignment: CycleAssignment, order: FiniteOrder) -> CycleAssi
             f"assignment owners {sorted(assignment.owners())} do not"
             f" match the extremal elements {sorted(expected)}"
         )
-    validate_assignment(assignment, order)
+    problems = assignment_problems(assignment, order)
+    if problems:
+        raise PreconditionViolated("; ".join(problems))
     cycles = {owner: list(assignment.cycle(owner)) for owner in assignment.owners()}
     gaps: dict = {}  # band type -> attractor-side minus repeller-side bands
+    attractors = set(order.minimal_elements)
     for owner, word in cycles.items():
-        attractor = not order.down_set(owner)
+        attractor = owner in attractors
         for t in word:
             if t.left <= t.right:
                 key = _band_type(owner, t, attractor)

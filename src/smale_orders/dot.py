@@ -79,14 +79,11 @@ def level_graph_dot(graph: LevelGraph, name: str) -> str:
 
 
 def embedding_dot(
-    embedding: Embedding,
-    graph: LevelGraph,
-    face_attractors: tuple[str, ...],
-    name: str = "embedding",
+    embedding: Embedding, graph: LevelGraph, face_attractors: tuple[str, ...]
 ) -> str:
     """Level graph with the rotation order on edge-ends and one annotation
     node per traced face, naming the attractor the face is dual to."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph embedding {"]
     for v in graph.vertices:
         darts = embedding.rotation.get(v, ())
         order = ", ".join(f"{graph.edges[e][0]}.{end}" for e, end in darts)

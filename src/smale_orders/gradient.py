@@ -147,6 +147,7 @@ def level_graphs(order: FiniteOrder) -> tuple[LevelGraph, LevelGraph]:
     exactly when no saddle lies above or below it.
     """
     names = order.elements
+    index = {e: i for i, e in enumerate(names)}
 
     def named(mask: int) -> list[str]:
         return sorted(itertools.compress(names, _flags(mask)))
@@ -154,10 +155,10 @@ def level_graphs(order: FiniteOrder) -> tuple[LevelGraph, LevelGraph]:
     maxes, saddles, mins = order._role_masks()
     top_edges, bottom_edges = [], []
     for s in named(saddles):
-        i = order._index[s]
-        if (order._up[i] | order._down[i]) & saddles:
+        up, down = order.up[index[s]], order.down[index[s]]
+        if (up | down) & saddles:
             raise NotGradientShape(f"saddle {s} is not first generation on both sides")
-        ups, downs = named(order._up[i] & maxes), named(order._down[i] & mins)
+        ups, downs = named(up & maxes), named(down & mins)
         if not 1 <= len(ups) <= 2 or not 1 <= len(downs) <= 2:
             raise NotGradientShape(
                 f"saddle {s} touches {len(ups)} maximal and {len(downs)} minimal"

@@ -11,10 +11,10 @@ the cover children and the cover parents.  ``load_order`` closes a
 generating set on masks in topological order and hands the result to
 ``from_down_sets``, the one builder of up-sets and covers, ``down[a] &
 ~OR(down[c] for c in down[a])``; ``restrict`` projects the masks.  The name
-pairs ``relations`` and ``covers`` are views computed from the masks on each
-use, ``to_dict`` writes its sorted pairs row by row from them, connectivity
-floods masks one frontier at a time, and the name sets of
-``down_set``/``up_set`` are made on first use.
+pairs ``relations`` and ``covers`` and the name sets of ``down_set`` and
+``up_set`` are views computed from the masks on each use, ``to_dict`` writes
+its sorted pairs row by row from them, and connectivity floods masks one
+frontier at a time.
 """
 
 from __future__ import annotations
@@ -40,93 +40,66 @@ class Role(enum.Enum):
     ATTRACTOR = "attractor"
 
 
-class _NameSets(dict):
-    """Frozensets of element names by mask, each made on first use."""
-
-    def __init__(self, elements):
-        self.elements = elements
-        self[0] = frozenset()  # every extremal element asks for it
-
-    def __missing__(self, mask: int) -> frozenset[str]:
-        names = self[mask] = frozenset(compress(self.elements, _flags(mask)))
-        return names
-
-
-class FiniteOrder:
+class FiniteOrder(NamedTuple):
     """A finite strict partial order, transitively closed, with Hasse covers.
 
-    Instances are immutable; all operations on them are pure functions.  The
-    mask tuples are the order, and two orders are equal when their elements
-    and down masks are; ``from_down_sets`` and ``restrict`` build them.
+    The element names and the four mask tuples are the order: bit ``j`` of
+    ``down[i]`` says ``elements[i] > elements[j]``, ``up`` is its converse
+    and ``cover_down`` and ``cover_up`` keep only the covers.  The masks
+    other than ``down`` are derived from it by the only builders,
+    ``from_down_sets`` and ``restrict``.
     """
 
-    __slots__ = ("elements", "_down", "_up", "_cover_down", "_cover_up", "_index", "_named")
-
-    def __init__(self, elements, _down, _up, _cover_down, _cover_up):
-        index = {e: i for i, e in enumerate(elements)}
-        values = (elements, _down, _up, _cover_down, _cover_up, index, _NameSets(elements))
-        for slot, value in zip(_ORDER_SLOTS, values):
-            slot.__set__(self, value)  # the slot's own setter; __setattr__ refuses
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"a FiniteOrder is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return FiniteOrder, (self.elements, self._down, self._up, self._cover_down, self._cover_up)
-
-    def __eq__(self, other):
-        if other.__class__ is not FiniteOrder:
-            return NotImplemented
-        return (self.elements, self._down) == (other.elements, other._down)
-
-    def __hash__(self):
-        return hash((self.elements, self._down))
-
-    def __repr__(self):
-        return f"FiniteOrder(elements={self.elements!r}, _down={self._down!r})"
+    elements: tuple[str, ...]
+    down: tuple[int, ...]
+    up: tuple[int, ...]
+    cover_down: tuple[int, ...]
+    cover_up: tuple[int, ...]
 
     # -- basic queries ------------------------------------------------------
 
     @property
     def relations(self) -> frozenset[tuple[str, str]]:
         """The pairs ``(a, b)`` with ``a > b``, made from the down masks."""
-        return _pairs(self.elements, self._down)
+        return _pairs(self.elements, self.down)
 
     @property
     def covers(self) -> frozenset[tuple[str, str]]:
         """The Hasse cover pairs ``(a, b)``, made from the cover masks."""
-        return _pairs(self.elements, self._cover_down)
+        return _pairs(self.elements, self.cover_down)
+
+    def _of(self, masks: tuple[int, ...], e: str):
+        """The elements in the mask of ``e`` in ``masks``, in element order."""
+        return compress(self.elements, _flags(masks[self.elements.index(e)]))
 
     def down_set(self, e: str) -> frozenset[str]:
         """Strictly smaller elements."""
-        return self._named[self._down[self._index[e]]]
+        return frozenset(self._of(self.down, e))
 
     def up_set(self, e: str) -> frozenset[str]:
         """Strictly greater elements."""
-        return self._named[self._up[self._index[e]]]
+        return frozenset(self._of(self.up, e))
 
     @property
     def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(e for e, up in zip(self.elements, self._up) if not up)
+        return tuple(e for e, up in zip(self.elements, self.up) if not up)
 
     @property
     def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(e for e, down in zip(self.elements, self._down) if not down)
+        return tuple(e for e, down in zip(self.elements, self.down) if not down)
 
     def _role_masks(self) -> tuple[int, int, int]:
         """Masks of the maximal elements, the saddles and the minimal
         elements."""
-        maxes = sum(1 << i for i, up in enumerate(self._up) if not up)
-        mins = sum(1 << i for i, down in enumerate(self._down) if not down)
+        maxes = sum(1 << i for i, up in enumerate(self.up) if not up)
+        mins = sum(1 << i for i, down in enumerate(self.down) if not down)
         return maxes, (1 << len(self.elements)) - 1 & ~(maxes | mins), mins
 
     def _cover_pairs(self, upper: int, lower: int) -> tuple[tuple[str, str], ...]:
         """Sorted cover pairs ``(a, b)`` with ``a`` in the mask ``upper`` and
         ``b`` in the mask ``lower``."""
         names, flags = self.elements, _flags(upper)
-        pairs = zip(compress(names, flags), compress(self._cover_down, flags))
+        pairs = zip(compress(names, flags), compress(self.cover_down, flags))
         return tuple(
             sorted((a, b) for a, m in pairs for b in compress(names, _flags(m & lower)))
         )
@@ -148,10 +121,10 @@ class FiniteOrder:
         return self._cover_pairs(saddles, saddles)
 
     def cover_children(self, e: str) -> tuple[str, ...]:
-        return tuple(sorted(compress(self.elements, _flags(self._cover_down[self._index[e]]))))
+        return tuple(sorted(self._of(self.cover_down, e)))
 
     def cover_parents(self, e: str) -> tuple[str, ...]:
-        return tuple(sorted(compress(self.elements, _flags(self._cover_up[self._index[e]]))))
+        return tuple(sorted(self._of(self.cover_up, e)))
 
     def restrict(self, keep: set[str]) -> "FiniteOrder":
         """Induced suborder on a union of comparability components, or on
@@ -170,18 +143,15 @@ class FiniteOrder:
 
         return FiniteOrder(
             tuple(self.elements[i] for i in kept),
-            *map(project, (self._down, self._up, self._cover_down, self._cover_up)),
+            *map(project, (self.down, self.up, self.cover_down, self.cover_up)),
         )
 
     def to_dict(self) -> dict:
         return {
             "elements": list(self.elements),
-            "relations": _rows(self.elements, self._down),
-            "covers": _rows(self.elements, self._cover_down),
+            "relations": _rows(self.elements, self.down),
+            "covers": _rows(self.elements, self.cover_down),
         }
-
-
-_ORDER_SLOTS = [vars(FiniteOrder)[name] for name in FiniteOrder.__slots__]
 
 
 class RoleMap(NamedTuple):
@@ -417,13 +387,13 @@ def classify(order: FiniteOrder) -> RoleMap:
     generations follow from the saddle cover parents, top-down.
     """
     roles, saddles = {}, []
-    for i, (e, down, up) in enumerate(zip(order.elements, order._down, order._up)):
+    for i, (e, down, up) in enumerate(zip(order.elements, order.down, order.up)):
         roles[e] = Role.REPELLER if not up else Role.ATTRACTOR if not down else Role.SADDLE
         if down and up:
             saddles.append((up.bit_count(), i))
     gen = [0] * len(order.elements)  # stays 0 for the repellers
     for _, i in sorted(saddles):
-        gen[i] = 1 + max(compress(gen, _flags(order._cover_up[i])), default=0)
+        gen[i] = 1 + max(compress(gen, _flags(order.cover_up[i])), default=0)
     generations = {order.elements[i]: gen[i] for _, i in saddles}
     return RoleMap(roles=roles, generations=generations)
 
@@ -435,14 +405,14 @@ def check_connectivity(order: FiniteOrder) -> ConnectivityReport:
     down-set must be connected; symmetrically for minimal elements and their
     up-sets.  The empty subgraph counts as connected.
     """
-    adjacent = [d | u for d, u in zip(order._down, order._up)]
+    adjacent = [d | u for d, u in zip(order.down, order.up)]
 
     def entry(nodes: int):
         comps = _components(adjacent, nodes)
         names = (tuple(sorted(compress(order.elements, _flags(c)))) for c in comps)
         return len(comps) <= 1, tuple(sorted(names))
 
-    masks = list(zip(order.elements, order._down, order._up))
+    masks = list(zip(order.elements, order.down, order.up))
     entries = {e: entry(down) for e, down, up in masks if not up}
     # an element can be listed only once; maximal-and-minimal cannot happen
     # here because isolated elements are rejected at load time

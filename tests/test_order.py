@@ -316,9 +316,9 @@ def test_mask_views_agree_with_brute_force(drawn):
             assert part.up_set(e) == order.up_set(e)
             assert part.cover_children(e) == order.cover_children(e)
         if part.elements:
-            assert part == from_down_sets(part.elements, part._down)
-    assert loaded == from_down_sets(loaded.elements, loaded._down)
-    assert hash(loaded) == hash(from_down_sets(loaded.elements, loaded._down))
+            assert part == from_down_sets(part.elements, part.down)
+    assert loaded == from_down_sets(loaded.elements, loaded.down)
+    assert hash(loaded) == hash(from_down_sets(loaded.elements, loaded.down))
     assert (direct == loaded) == (elements == loaded.elements)
-    dual = from_down_sets(elements, tuple(direct._up))
+    dual = from_down_sets(elements, tuple(direct.up))
     assert dual != direct and dual.relations == {(b, a) for a, b in rel}

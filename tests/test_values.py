@@ -19,7 +19,10 @@ from smale_orders.assemble import plan_plugs
 from smale_orders.cli import _dump
 from smale_orders.pipeline import realize
 
-ORDER = "FiniteOrder(elements=('A', 's1', 's2', 'w'), _down=(14, 8, 8, 0))"
+ORDER = (
+    "FiniteOrder(elements=('A', 's1', 's2', 'w'), down=(14, 8, 8, 0),"
+    " up=(0, 1, 1, 7), cover_down=(6, 8, 8, 0), cover_up=(0, 1, 1, 6))"
+)
 ROLES = (
     "RoleMap(roles={'A': <Role.REPELLER: 'repeller'>, 's1': <Role.SADDLE: 'saddle'>,"
     " 's2': <Role.SADDLE: 'saddle'>, 'w': <Role.ATTRACTOR: 'attractor'>},"
@@ -141,7 +144,7 @@ def test_orders_compare_on_elements_and_down_masks():
     loaded = load_order(
         {"elements": ["w", "s2", "s1", "A"], "relations": [["A", "w"], *order.covers]}
     )
-    built = from_down_sets(order.elements, order._down)
+    built = from_down_sets(order.elements, order.down)
     wider = load_order(
         {
             "elements": [*order.elements, "p", "q"],
@@ -158,7 +161,7 @@ def test_orders_compare_on_elements_and_down_masks():
     chain = load_order(
         {"elements": ["A", "s1", "s2", "w"], "relations": [["A", "s1"], ["s1", "s2"], ["s2", "w"]]}
     )
-    renamed = from_down_sets(("B", "s1", "s2", "w"), order._down)
+    renamed = from_down_sets(("B", "s1", "s2", "w"), order.down)
     for other in (chain, renamed, wider):
         assert other != order
     assert len({order, loaded, built, kept, chain, renamed}) == 3
@@ -176,7 +179,7 @@ def test_import_loads_no_dataclasses():
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("name", [name for name in RECORDS if name != "FiniteOrder"])
+@pytest.mark.parametrize("name", RECORDS)
 def test_records_are_tuples_that_json_output_refuses(name):
     value, _ = _records()[name]
     assert value == tuple(value) and value[0] is getattr(value, value._fields[0])
